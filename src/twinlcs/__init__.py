@@ -7,13 +7,13 @@ and numeric constants (bounds), and seeded experiments plus
 verification suites (experiments) behind the ``twinlcs`` CLI.
 """
 
-from .bounds import (AsymptoticThreshold, BoundQuery, LowerBoundValues,
-                     MinMaxConstant, MonotoneImageResult, ThetaBreakdown,
-                     ThresholdResult, alpha_threshold, asymptotic_threshold,
-                     lower_bound_values, minmax_constant, monotone_image,
-                     random_strongly_monotone, role_count, role_prob,
-                     role_prob_stats, sharp_image_tables,
-                     strong_monotonicity_violation, theta, union_bound)
+from .bounds import (AsymptoticThreshold, LowerBoundValues, MinMaxConstant,
+                     MonotoneImageResult, ThetaBreakdown, ThresholdResult,
+                     alpha_threshold, asymptotic_threshold, lower_bound_values,
+                     minmax_constant, monotone_image, random_strongly_monotone,
+                     role_count, role_prob, role_prob_stats,
+                     sharp_image_tables, strong_monotonicity_violation, theta,
+                     union_bound)
 from .constructions import (Ceiling, FamilyOutput, FAMILY_BUILDERS, LexSpec,
                             check_family, ceiling_value, cube_quadruple,
                             grid_pair, is_prime, lex_build,

@@ -23,30 +23,6 @@ from .twins import RoleStats
 E = math.e
 
 
-@dataclass(frozen=True)
-class BoundQuery:
-    """Validated parameter bundle for tail-bound evaluations."""
-
-    k: int
-    n: int = 0
-    m: int = 0
-    alpha: Optional[float] = None
-    p: int = 0
-    z: int = 0
-
-    def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.k}")
-        if self.alpha is not None and not 1 / self.k <= self.alpha <= 0.5:
-            raise ValueError(f"alpha must lie in [1/k, 1/2], got {self.alpha}")
-        if not 0 <= 2 * self.m <= self.n:
-            raise ValueError(f"pair count {self.m} out of range for n={self.n}")
-        if not 0 <= self.p <= self.m:
-            raise ValueError(f"switch count {self.p} out of range")
-        if not 0 <= self.z <= self.n - 2 * self.m:
-            raise ValueError(f"leading zero count {self.z} out of range")
-
-
 # -- exponential rate --------------------------------------------------------
 
 
@@ -95,9 +71,6 @@ def theta(alpha: float, k: int) -> ThetaBreakdown:
     switch = -2.0 * alpha * math.log(2.0 / (1.0 + math.sqrt(1.0 - 1.0 / k)))
     idle = gap * math.log(1.0 - 1.0 / k) if gap > 0 else 0.0
     return ThetaBreakdown(alpha, k, shape, match, switch, idle)
-
-
-theta_expression = theta
 
 
 @dataclass(frozen=True)
@@ -166,9 +139,6 @@ def asymptotic_threshold(k: int) -> AsymptoticThreshold:
                                lead - (E * E + 0.5) / k)
 
 
-asymptotic_upper = asymptotic_threshold
-
-
 # -- role-word counting and probability --------------------------------------
 
 
@@ -226,11 +196,15 @@ def union_bound(k: int, n: int, pairs: int) -> Fraction:
         raise ValueError("length and pair count must be nonnegative")
     if 2 * pairs > n:
         return Fraction(0)
-    total = Fraction(0)
-    for p in range(pairs + 1):
-        for z in range(n - 2 * pairs + 1):
-            total += role_count(n, pairs, p, z) * role_prob(k, n, pairs, p, z)
-    return total
+    if k < 1:
+        raise ValueError(f"alphabet size must be >= 1, got {k}")
+    # the summand factors into a switch part and a leading-zero part
+    q = Fraction(k - 1, k)
+    switch_sum = sum(math.comb(pairs, p) ** 2 * q ** p
+                     for p in range(pairs + 1))
+    idle_sum = sum(math.comb(n - z, 2 * pairs) * q ** (n - 2 * pairs - z)
+                   for z in range(n - 2 * pairs + 1))
+    return Fraction(1, k) ** pairs * switch_sum * idle_sum
 
 
 # -- numeric constants -------------------------------------------------------

@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget-cells", type=int, default=argparse.SUPPRESS,
                         help="cap on DP table cells")
     common.add_argument("--budget-nodes", type=int, default=argparse.SUPPRESS,
-                        help="cap on twin-solver search nodes")
+                        help="cap on twin search states")
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS,
                         help="emit one JSON document")
@@ -326,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("word")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exact", dest="method", action="store_const",
-                       const="exact", help="memoized solver (default)")
+                       const="exact",
+                       help="target-directed twin search (default)")
     group.add_argument("--oracle", dest="method", action="store_const",
                        const="oracle", help="brute enumeration")
     group.add_argument("--runs", dest="method", action="store_const",

@@ -35,8 +35,7 @@ def is_prime(x: int) -> bool:
     """Deterministic Miller-Rabin, exact for x below 3.3e24."""
     if x < 2:
         return False
-    small = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    for p in small:
+    for p in _MR_WITNESSES:
         if x % p == 0:
             return x == p
     d = x - 1

@@ -44,7 +44,6 @@ class ExperimentConfig:
     k: Optional[int] = None
     n: Optional[int] = None
     alpha: Optional[float] = None
-    t: Optional[int] = None
     starts: int = 100
     budget_nodes: int = DEFAULT_NODE_BUDGET
     budget_cells: int = DEFAULT_BUDGET_CELLS
@@ -65,8 +64,8 @@ class ExperimentConfig:
 
     def to_json(self) -> dict:
         return {"seed": self.seed, "trials": self.trials, "k": self.k,
-                "n": self.n, "alpha": self.alpha, "t": self.t,
-                "starts": self.starts, "budget_nodes": self.budget_nodes,
+                "n": self.n, "alpha": self.alpha, "starts": self.starts,
+                "budget_nodes": self.budget_nodes,
                 "budget_cells": self.budget_cells,
                 "exhaustive_cap": self.exhaustive_cap, "out": self.out}
 

@@ -5,11 +5,13 @@ unused, 1 for the first subsequence, 2 for the second.  Reading the
 role-1 positions left to right must spell the same word as the role-2
 positions.  The length of the twins is the number of pairs.
 
-``lt_exact`` computes the maximum twin length by a memoized search over
-(position, owed letters) states and returns the lexicographically
-smallest monotone role word achieving it.  ``lt_oracle`` recomputes the
-value by brute enumeration of role words and exists purely as an
-independent cross-check; it shares no search logic with the solver.
+One target-directed search over (position, owed letters) states finds
+the lexicographically smallest monotone role word with a given number
+of pairs.  ``minimal_certificate`` asks it once; ``lt_exact`` asks for
+0, 1, 2, ... pairs and returns the last role word found.  ``lt_oracle``
+recomputes the value by brute enumeration of role words and exists
+purely as an independent cross-check; it shares no logic with the
+search.
 
 A role word is *monotone* when every prefix contains at least as many
 1s as 2s (equivalently: the i-th marked position of the first
@@ -252,18 +254,16 @@ def is_regular_pair(word: Word, roles: Roles) -> bool:
     return find_regularity_violation(word, roles) is None
 
 
-# -- exact solver ------------------------------------------------------------
-
-_INFEASIBLE = -1
+# -- twin search -------------------------------------------------------------
 
 
-class _TwinSolver:
-    """Memoized maximum over (position, owed letters) states.
+class _TwinSearch:
+    """Target-directed search over (position, owed letters) states.
 
     The state after scanning a prefix is the queue of letters marked 1
-    but not yet matched by a 2 (first in, first out).  The value of a
-    state is the largest number of additional 1s placeable so that the
-    queue empties by the end of the word.
+    but not yet matched by a 2 (first in, first out).  ``find`` asks
+    for a role suffix that places a given number of further 1s and
+    empties the queue by the end of the word.
     """
 
     def __init__(self, word: Word, budget_nodes: int = DEFAULT_NODE_BUDGET):
@@ -272,7 +272,8 @@ class _TwinSolver:
         self.k = word.k
         self.budget_nodes = budget_nodes
         self.nodes = 0
-        self.memo: dict[tuple[int, Roles], int] = {}
+        # failed[(pos, debt)]: smallest need known to fail at the state
+        self.failed: dict[tuple[int, Roles], int] = {}
         # next_at[p][c]: first index >= p holding c, else n
         nxt = [self.n] * (self.k + 1)
         self.next_at = [tuple(nxt)]
@@ -300,86 +301,70 @@ class _TwinSolver:
             p += 1
         return True
 
-    def value(self, pos: int, debt: Roles) -> int:
+    def _fits(self, pos: int, debt: Roles, need: int) -> bool:
+        """Do ``need`` further pairs fit the global and per-letter slack?"""
+        if need > (self.n - pos - len(debt)) // 2:
+            return False
+        counts = self.counts[pos]
+        per_letter = 0
+        for c in range(1, self.k + 1):
+            avail = counts[c] - debt.count(c)
+            if avail >= 2:
+                per_letter += avail // 2
+        return need <= per_letter
+
+    def find(self, pos: int, debt: Roles, need: int) -> Optional[Roles]:
+        """Lexicographically smallest role suffix for letters[pos:] that
+        places exactly ``need`` more pairs and clears ``debt``, or None.
+
+        Roles are tried in the order 0, 1, 2, so the first completion
+        found is the minimum.  A failure is remembered as the smallest
+        ``need`` that failed at the state; dropping the last pair of
+        any completion leaves one with a pair fewer, so every larger
+        ``need`` fails there too.
+        """
         key = (pos, debt)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
+        if need >= self.failed.get(key, need + 1):
+            return None
         self.nodes += 1
         if self.nodes > self.budget_nodes:
             raise BudgetError(
                 f"twin search exceeded {self.budget_nodes} states")
-        if not self._clears(pos, debt):
-            self.memo[key] = _INFEASIBLE
-            return _INFEASIBLE
-        # upper bound on further pairs: global slack and per-letter slack
-        ub = (self.n - pos - len(debt)) // 2
-        if ub > 0:
-            counts = self.counts[pos]
-            per_letter = 0
-            for c in range(1, self.k + 1):
-                avail = counts[c] - debt.count(c)
-                if avail >= 2:
-                    per_letter += avail // 2
-            ub = min(ub, per_letter)
-        if ub <= 0:
-            self.memo[key] = 0
-            return 0
-        c = self.letters[pos]
-        best = self.value(pos + 1, debt)
-        if debt and debt[0] == c:
-            cand = self.value(pos + 1, debt[1:])
-            if cand > best:
-                best = cand
-        cand = self.value(pos + 1, debt + (c,))
-        if cand != _INFEASIBLE and cand + 1 > best:
-            best = cand + 1
-        self.memo[key] = best
-        return best
-
-
-def _minimal_roles(solver: _TwinSolver, word: Word, target: int) -> Roles:
-    """Lexicographically smallest monotone role word with ``target`` pairs.
-
-    Greedy per position over roles 0 < 1 < 2, keeping a role exactly
-    when some completion still reaches ``target`` pairs.  Reaching at
-    least the remaining count suffices: dropping the final pair of any
-    certificate leaves a valid certificate, so the count can always be
-    trimmed down to the target.
-    """
-    roles = []
-    debt: Roles = ()
-    placed = 0
-    for pos in range(len(word)):
-        c = word[pos]
-        if solver.value(pos + 1, debt) >= target - placed:
-            roles.append(0)
-            continue
-        if (placed < target
-                and solver.value(pos + 1, debt + (c,)) >= target - placed - 1):
-            roles.append(1)
-            debt = debt + (c,)
-            placed += 1
-            continue
-        if (debt and debt[0] == c
-                and solver.value(pos + 1, debt[1:]) >= target - placed):
-            roles.append(2)
-            debt = debt[1:]
-            continue
-        raise AssertionError("role reconstruction lost feasibility")
-    return tuple(roles)
+        if not debt and not need:  # only zeros remain, also at pos == n
+            return (0,) * (self.n - pos)
+        if self._clears(pos, debt) and self._fits(pos, debt, need):
+            c = self.letters[pos]
+            found = self.find(pos + 1, debt, need)
+            if found is not None:
+                return (0,) + found
+            if need:
+                found = self.find(pos + 1, debt + (c,), need - 1)
+                if found is not None:
+                    return (1,) + found
+            if debt and debt[0] == c:
+                found = self.find(pos + 1, debt[1:], need)
+                if found is not None:
+                    return (2,) + found
+        self.failed[key] = need
+        return None
 
 
 def lt_exact(word: Word, *, max_length: int = DEFAULT_EXACT_LENGTH,
              budget_nodes: int = DEFAULT_NODE_BUDGET) -> TwinCertificate:
     """Maximum-length twins with the lexicographically smallest monotone
-    role word among the optima."""
+    role word among the optima.
+
+    Asks the search for 0, 1, 2, ... pairs and keeps the last success;
+    failures found for one target stay valid for the next.
+    """
     if len(word) > max_length:
         raise ValueError(
             f"exact search supports length <= {max_length}, got {len(word)}")
-    solver = _TwinSolver(word, budget_nodes)
-    best = solver.value(0, ())
-    return extract(word, _minimal_roles(solver, word, best))
+    search = _TwinSearch(word, budget_nodes)
+    need, best = 0, None
+    while (roles := search.find(0, (), need)) is not None:
+        need, best = need + 1, roles
+    return extract(word, best)
 
 
 def minimal_certificate(word: Word, length: int, *,
@@ -389,10 +374,10 @@ def minimal_certificate(word: Word, length: int, *,
     ``length`` pairs; raises ValueError when none exists."""
     if length < 0:
         raise ValueError("twin length must be nonnegative")
-    solver = _TwinSolver(word, budget_nodes)
-    if solver.value(0, ()) < length:
+    roles = _TwinSearch(word, budget_nodes).find(0, (), length)
+    if roles is None:
         raise ValueError(f"no twins of length {length} in {word.to_text()}")
-    return extract(word, _minimal_roles(solver, word, length))
+    return extract(word, roles)
 
 
 def regularize(cert: TwinCertificate, *,
@@ -454,7 +439,7 @@ def lt_oracle(word: Word, *, max_length: int = DEFAULT_ORACLE_LENGTH) -> int:
 
     For each candidate pair count, in decreasing order, every monotone
     role word is materialized and checked against the word with one
-    vectorized letter comparison.  Independent of the solver by design.
+    vectorized letter comparison.  Independent of the search by design.
     """
     n = len(word)
     if n > max_length:
@@ -471,6 +456,9 @@ def lt_oracle(word: Word, *, max_length: int = DEFAULT_ORACLE_LENGTH) -> int:
         if ones.shape[0] and bool((arr[ones] == arr[twos]).all(axis=1).any()):
             return m
     return 0
+
+
+_INFEASIBLE = -1
 
 
 def lt_tuplets(word: Word, t: int, *,
@@ -656,10 +644,10 @@ def random_monotone_certificate(word: Word, rng: np.random.Generator, *,
     walk retries until at least one pair lands.
     """
     n = len(word)
-    solver = _TwinSolver(word)  # reused for its next-occurrence table
+    search = _TwinSearch(word)  # reused for its next-occurrence table
 
     def feasible(debt: Roles, pos: int) -> bool:
-        return solver._clears(pos, debt)
+        return search._clears(pos, debt)
 
     for _ in range(max_tries):
         debt: Roles = ()

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from oracles import role_census, tail_counts, theta_decimal
 from twinlcs import (
-    BoundQuery,
     alpha_threshold,
     asymptotic_threshold,
     lower_bound_values,
@@ -300,14 +299,3 @@ def test_random_tables_meet_floor():
                        for y in range(1, s + 1)
                        for z in range(1, s + 1)}
             assert res.size == len(triples)
-
-
-def test_bound_query_validation():
-    q = BoundQuery(k=4, n=10, m=3, alpha=0.4, p=1, z=2)
-    assert q.k == 4
-    with pytest.raises(ValueError):
-        BoundQuery(k=1)
-    with pytest.raises(ValueError):
-        BoundQuery(k=2, n=4, m=3)
-    with pytest.raises(ValueError):
-        BoundQuery(k=4, alpha=0.1)

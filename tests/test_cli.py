@@ -1,8 +1,11 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import doctest
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,3 +250,11 @@ def test_console_script_installed():
                            "12", "21"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "length: 1" in proc.stdout
+
+
+def test_readme_library_example():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    test = doctest.DocTestParser().get_doctest(block, {}, "README", None, 0)
+    result = doctest.DocTestRunner().run(test)
+    assert result.attempted and not result.failed

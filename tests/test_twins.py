@@ -40,6 +40,9 @@ words = st.integers(2, 3).flatmap(
     lambda k: st.lists(st.integers(1, k), max_size=9).map(
         lambda ls: Word(tuple(ls), k)))
 
+ternary_words = st.lists(st.integers(1, 3), max_size=10).map(
+    lambda ls: Word(tuple(ls), 3))
+
 
 # -- role words and certificates ----------------------------------------------
 
@@ -122,12 +125,37 @@ def test_exact_oracle_agree_k4():
 
 
 def test_exact_returns_valid_lexmin_monotone_certificate():
-    for i in range(80):
-        w = sample_word(2, 8, 29, index=i)
+    for letters in itertools.chain.from_iterable(
+            itertools.product((1, 2), repeat=n) for n in range(11)):
+        w = Word(letters, 2)
         cert = lt_exact(w)
         assert is_twin_roles(w, cert.roles)
         assert cert.is_monotone
         assert cert.roles == lexmin_monotone_roles(w.letters, cert.length)
+
+
+@given(ternary_words)
+def test_exact_roles_match_lexmin_oracle_ternary(w):
+    cert = lt_exact(w)
+    assert cert.length == brute_twins(w.letters)
+    assert cert.roles == lexmin_monotone_roles(w.letters, cert.length)
+
+
+@given(words)
+def test_minimal_certificate_matches_oracle_for_every_length(w):
+    top = lt_exact(w).length
+    for m in range(top + 1):
+        assert (minimal_certificate(w, m).roles
+                == lexmin_monotone_roles(w.letters, m))
+    with pytest.raises(ValueError):
+        minimal_certificate(w, top + 1)
+
+
+def test_exact_periodic_word_within_default_budget():
+    w = Word(tuple(range(1, 11)) * 4, 10)
+    cert = lt_exact(w)
+    assert cert.length == 20
+    assert cert.roles == lexmin_monotone_roles(w.letters, 20)
 
 
 def test_length_guards_and_budget():

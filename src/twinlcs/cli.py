@@ -28,7 +28,8 @@ from .experiments import (SCHEMA_VERSION, SUITES, ExperimentConfig,
                           verify_suite)
 from .lcs import (DEFAULT_BUDGET_CELLS, lcs_pair, lcs_reversible,
                   set_lcs_stats)
-from .twins import (DEFAULT_NODE_BUDGET, lt_exact, lt_oracle, parse_roles,
+from .twins import (DEFAULT_EXACT_LENGTH, DEFAULT_NODE_BUDGET,
+                    DEFAULT_ORACLE_LENGTH, lt_exact, lt_oracle, parse_roles,
                     role_stats, roles_to_text, twins_via_blocks,
                     twins_via_runs)
 from .words import Word, parse_word
@@ -110,8 +111,8 @@ def _certificate_lines(cert) -> list[str]:
 def _cmd_twins(args: argparse.Namespace) -> int:
     word = load_word(args.word)
     if args.method == "oracle":
-        value = lt_oracle(word, max_length=args.max_length
-                          if args.max_length else 14)
+        value = lt_oracle(word, max_length=DEFAULT_ORACLE_LENGTH
+                          if args.max_length is None else args.max_length)
         _emit(args, {"value": value, "method": "oracle"},
               [f"length: {value}"])
         return 0
@@ -127,7 +128,8 @@ def _cmd_twins(args: argparse.Namespace) -> int:
                      f"({'met' if result.floor_met else 'missed'})")
         _emit(args, result.to_json(), lines)
         return 0
-    cert = lt_exact(word, max_length=args.max_length or 40,
+    cert = lt_exact(word, max_length=DEFAULT_EXACT_LENGTH
+                    if args.max_length is None else args.max_length,
                     budget_nodes=args.budget_nodes)
     _emit(args, cert.to_json(), _certificate_lines(cert))
     return 0

@@ -22,10 +22,11 @@ import numpy as np
 
 from .errors import BudgetError
 from .lcs import DEFAULT_BUDGET_CELLS, lcs_len
-from .twins import (DEFAULT_NODE_BUDGET, find_regularity_violation,
-                    is_monotone, is_twin_roles, lt_exact, lt_oracle,
-                    random_monotone_certificate, regularize, role_stats,
-                    run_count, twins_via_blocks, twins_via_runs)
+from .twins import (DEFAULT_EXACT_LENGTH, DEFAULT_NODE_BUDGET, _TwinSearch,
+                    find_regularity_violation, is_monotone, is_twin_roles,
+                    lt_exact, lt_oracle, random_monotone_certificate,
+                    regularize, role_stats, run_count, twins_via_blocks,
+                    twins_via_runs)
 from .words import Word
 
 SCHEMA_VERSION = 1
@@ -150,7 +151,9 @@ def estimate_lt_tail(k: int, n: int, alpha: float,
 
     Exhaustive (exact fraction, collapsed interval) when k^n is at most
     the configured cap; Monte Carlo with a Wilson 95% interval
-    otherwise, one solver call per trial substream.
+    otherwise.  Each trial substream makes one twin search call for
+    exactly m pairs (twins of length m exist exactly when LT >= m), and
+    the node budget bounds that call.
     """
     config = config or ExperimentConfig()
     if k < 1:
@@ -171,11 +174,13 @@ def estimate_lt_tail(k: int, n: int, alpha: float,
         p = float(frac)
         return TailEstimate(k, n, alpha, m, p, p, p, total, hits,
                             "exhaustive", frac, config)
+    if n > DEFAULT_EXACT_LENGTH:
+        raise ValueError(f"exact search supports length <= "
+                         f"{DEFAULT_EXACT_LENGTH}, got {n}")
     hits = 0
     for trial in range(config.trials):
         word = sample_word(k, n, config.seed, index=trial)
-        cert = lt_exact(word, budget_nodes=config.budget_nodes)
-        if cert.length >= m:
+        if _TwinSearch(word, config.budget_nodes).find(0, (), m) is not None:
             hits += 1
     lo, hi = wilson_interval(hits, config.trials)
     return TailEstimate(k, n, alpha, m, hits / config.trials, lo, hi,

@@ -1,10 +1,15 @@
 """Longest common subsequences: pairs, reversals, and joint LCS of word sets.
 
-Lengths use a bit-parallel row DP (big-int rows, one pass per letter of the
-second word); witnesses are recovered on demand from a full suffix table and
-follow the leftmost-greedy convention: among optimal alignments, the one whose
-flattened index sequence (i1, j1, i2, j2, ...) is lexicographically smallest.
-All results are deterministic; nothing here keeps mutable state.
+``lcs_multi`` serves two or more words, and ``lcs_pair`` calls it.  Two-word
+lengths use a bit-parallel row DP (big-int rows, one pass per letter of the
+second word) and build no table.  Witnesses, and joint lengths of three or
+more words, come from one dense suffix table whatever the number of words.
+Witnesses follow the leftmost-greedy convention: among optimal alignments, the
+one whose flattened index sequence (i1, j1, i2, j2, ...) is lexicographically
+smallest.  A first-occurrence walk reads them off the table: each step tries
+the first word's positions in order, each matched to the next occurrence of
+its letter in every other word.  All results are deterministic; nothing here
+keeps mutable state.
 """
 
 from __future__ import annotations
@@ -65,18 +70,6 @@ def lcs_len(a: Word, b: Word) -> int:
     return row.bit_count()
 
 
-def _suffix_table_pair(a: Word, b: Word) -> np.ndarray:
-    """S[i, j] = LCS(a[i:], b[j:]) as an int32 table."""
-    n, m = len(a), len(b)
-    av = np.asarray(a.letters, dtype=np.int64)
-    bv = np.asarray(b.letters, dtype=np.int64)
-    S = np.zeros((n + 1, m + 1), dtype=np.int32)
-    for i in range(n - 1, -1, -1):
-        cand = np.maximum(S[i + 1, :m], np.where(bv == av[i], 1 + S[i + 1, 1:], 0))
-        S[i, :m] = np.flip(np.maximum.accumulate(np.flip(cand)))
-    return S
-
-
 def _check_budget(cells: int, budget_cells: int, what: str) -> None:
     if cells > budget_cells:
         raise BudgetError(
@@ -85,29 +78,21 @@ def _check_budget(cells: int, budget_cells: int, what: str) -> None:
         )
 
 
-def _suffix_table_multi(words: Sequence[Word]) -> np.ndarray:
-    """Full suffix table S[v] = joint LCS of the suffixes starting at v."""
-    r = len(words)
-    dims = [len(w) + 1 for w in words]
-    last = np.asarray(words[-1].letters, dtype=np.int64)
-    m = dims[-1] - 1
-    S = np.zeros(dims, dtype=np.int32)
-    prefix_ranges = [range(d - 1, -1, -1) for d in dims[:-1]]
-    for idx in product(*prefix_ranges):
-        cands = []
-        for d in range(r - 1):
-            if idx[d] + 1 <= dims[d] - 1:
-                nb = idx[:d] + (idx[d] + 1,) + idx[d + 1 :]
-                cands.append(S[nb])
-        base = np.zeros(m + 1, dtype=np.int32)
-        for c in cands:
-            np.maximum(base, c, out=base)
-        if all(idx[d] < dims[d] - 1 for d in range(r - 1)):
-            letters = [words[d][idx[d]] for d in range(r - 1)]
-            if all(l == letters[0] for l in letters):
-                diagp = tuple(i + 1 for i in idx)
-                dv = np.where(last == letters[0], 1 + S[diagp][1:], 0)
-                base[:m] = np.maximum(base[:m], dv)
+def _suffix_table(words: Sequence[Word]) -> np.ndarray:
+    """Full suffix table S[v] = joint LCS of the suffixes starting at v,
+    for two or more words."""
+    *heads, last = [w.letters for w in words]
+    last_v = np.asarray(last, dtype=np.int64)
+    S = np.zeros([len(w) + 1 for w in words], dtype=np.int32)
+    # rows with an index at the end of some word stay zero
+    for idx in product(*(range(len(h) - 1, -1, -1) for h in heads)):
+        base = np.zeros(len(last) + 1, dtype=np.int32)
+        for d in range(len(heads)):
+            np.maximum(base, S[idx[:d] + (idx[d] + 1,) + idx[d + 1:]], out=base)
+        c = heads[0][idx[0]]
+        if all(h[i] == c for h, i in zip(heads, idx)):
+            diag = S[tuple(i + 1 for i in idx)]
+            base[:-1] = np.maximum(base[:-1], np.where(last_v == c, 1 + diag[1:], 0))
         S[idx] = np.flip(np.maximum.accumulate(np.flip(base)))
     return S
 
@@ -115,57 +100,38 @@ def _suffix_table_multi(words: Sequence[Word]) -> np.ndarray:
 def _walk_witness(words: Sequence[Word], S: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """Leftmost-greedy alignment read off a suffix table.
 
-    Each step picks the componentwise-smallest aligned position tuple that
-    still has an optimal continuation; S monotonicity makes the partial-tuple
-    bound (>= t-1 with untouched words at the current front) a sound prune.
+    Each step takes the smallest position p of the first word whose
+    letter still has an optimal continuation.  For a fixed p the next
+    occurrence of that letter in every other word gives the
+    componentwise-smallest matching tuple, which has the largest S
+    because S is non-increasing in every coordinate; so only that tuple
+    is tested, and when it passes it is the lexicographic minimum.
     """
-    r = len(words)
-    dims = [len(w) for w in words]
-    v = [0] * r
-    t = int(S[tuple(v)])
+    first, others = words[0].letters, [w.letters for w in words[1:]]
+    v = (0,) * len(words)
+    t = int(S[v])
     picks: list[tuple[int, ...]] = []
-
-    def step(target: int) -> tuple[int, ...]:
-        u: list[int] = []
-
-        def rec(depth: int) -> bool:
-            for pos in range(v[depth], dims[depth]):
-                if depth > 0 and words[depth][pos] != words[0][u[0]]:
-                    continue
-                u.append(pos)
-                head = tuple(x + 1 for x in u)
-                tail = tuple(v[d] for d in range(depth + 1, r))
-                if int(S[head + tail]) >= target:
-                    if depth == r - 1 or rec(depth + 1):
-                        return True
-                u.pop()
-            return False
-
-        if not rec(0):  # cannot happen for a correct table
-            raise AssertionError("witness walk lost the optimum")
-        return tuple(u)
-
     while t > 0:
-        hit = step(t - 1)
-        picks.append(hit)
-        v = [x + 1 for x in hit]
         t -= 1
-    return tuple(tuple(p[d] for p in picks) for d in range(r))
+        for p in range(v[0], len(first)):
+            try:
+                u = (p,) + tuple(w.index(first[p], s)
+                                 for w, s in zip(others, v[1:]))
+            except ValueError:  # the letter does not occur again somewhere
+                continue
+            if S[tuple(x + 1 for x in u)] >= t:
+                break
+        else:  # cannot happen for a correct table
+            raise AssertionError("witness walk lost the optimum")
+        picks.append(u)
+        v = tuple(x + 1 for x in u)
+    return tuple(zip(*picks)) if picks else ((),) * len(words)
 
 
 def lcs_pair(a: Word, b: Word, *, witness: bool = True,
              budget_cells: int = DEFAULT_BUDGET_CELLS) -> LcsResult:
     """LCS of two words; with ``witness`` the leftmost-greedy alignment."""
-    _require_common_alphabet((a, b))
-    if not witness:
-        return LcsResult(lcs_len(a, b))
-    if len(a) == 0 or len(b) == 0:
-        return LcsResult(0, Word((), a.k), ((), ()))
-    _check_budget((len(a) + 1) * (len(b) + 1), budget_cells, "pair witness")
-    S = _suffix_table_pair(a, b)
-    indices = _walk_witness((a, b), S)
-    common = Word(tuple(a[i] for i in indices[0]), a.k)
-    return LcsResult(int(S[0, 0]), common, indices)
+    return lcs_multi((a, b), witness=witness, budget_cells=budget_cells)
 
 
 @dataclass(frozen=True)
@@ -202,26 +168,28 @@ def lcs_multi(words: Sequence[Word], *, witness: bool = True,
               budget_cells: int = DEFAULT_BUDGET_CELLS) -> LcsResult:
     """Joint LCS of two or more words (full multi-dimensional alignment).
 
-    The alignment table has prod(len(w)+1) cells and must fit the cell budget.
+    The alignment table has prod(len(w)+1) cells and must fit the cell
+    budget.  Two-word length-only queries build no table, so no budget
+    applies to them.
     """
     words = list(words)
     if len(words) < 1:
         raise ValueError("need at least one word")
     _require_common_alphabet(words)
+    if len(words) == 2 and not witness:  # bit-parallel rows, no table
+        return LcsResult(lcs_len(words[0], words[1]))
     if len(words) == 1:
         w = words[0]
         if not witness:
             return LcsResult(len(w))
         return LcsResult(len(w), w, (tuple(range(len(w))),))
     if any(len(w) == 0 for w in words):
-        empty = (Word((), words[0].k), tuple(() for _ in words)) if witness else (None, None)
-        return LcsResult(0, empty[0], empty[1])
+        if not witness:
+            return LcsResult(0)
+        return LcsResult(0, Word((), words[0].k), ((),) * len(words))
     cells = prod(len(w) + 1 for w in words)
     _check_budget(cells, budget_cells, f"{len(words)}-way alignment")
-    if len(words) == 2 and not witness:
-        return LcsResult(lcs_len(words[0], words[1]))
-    S = _suffix_table_pair(words[0], words[1]) if len(words) == 2 \
-        else _suffix_table_multi(words)
+    S = _suffix_table(words)
     length = int(S[(0,) * len(words)])
     if not witness:
         return LcsResult(length)

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetError, InvalidCertificateError
-from .lcs import lcs_pair
+from .lcs import lcs_len, lcs_pair
 from .words import Word
 
 Roles = tuple[int, ...]
@@ -554,8 +554,7 @@ def split_upper_bound(word: Word) -> int:
     for s in range(1, n):
         head = Word(word.letters[:s], word.k)
         tail = Word(word.letters[s:], word.k)
-        bound = cheap(0, s) + lcs_pair(head, tail, witness=False).length \
-            + cheap(s, n)
+        bound = cheap(0, s) + lcs_len(head, tail) + cheap(s, n)
         if bound < best:
             best = bound
     return best

@@ -6,6 +6,7 @@ shifted to 1/2 on parse and can be rendered back with ``to_compact(zero_based=Tr
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -245,8 +246,9 @@ def is_regular(w: Word, eps, max_length: int) -> RegularityReport:
     if max_length > n:
         raise ValueError("pattern cap exceeds the word length")
 
-    # Prefix-sums of occurrence starts, per pattern; windows are factors of w,
-    # so only patterns occurring in w can ever disagree with it.
+    # Sorted occurrence starts, per pattern, counted per window by bisection;
+    # windows are factors of w, so only patterns occurring in w can ever
+    # disagree with it.
     starts: dict[Letters, list[int]] = {}
     for m in range(1, max_length + 1):
         for i in range(n - m + 1):
@@ -265,7 +267,7 @@ def is_regular(w: Word, eps, max_length: int) -> RegularityReport:
                     continue
                 pos = starts[pat]
                 # occurrences fully inside [i, j)
-                c = sum(1 for t in pos if i <= t <= j - m)
+                c = bisect_right(pos, j - m) - bisect_left(pos, i)
                 gap = abs(Fraction(c, j - i - m + 1) - global_freq[pat])
                 if gap >= eps:
                     witness = RegularityWitness(i, j, Word(pat, w.k), gap)

@@ -62,6 +62,36 @@ def brute_lcs_multi(words: Sequence[Sequence[int]]) -> int:
     return value
 
 
+def leftmost_greedy_lcs(words: Sequence[Sequence[int]]
+                        ) -> tuple[tuple[int, ...], ...]:
+    """Witness alignment whose flattened index sequence is smallest.
+
+    Step by step, take the lexicographically smallest tuple of matching
+    positions (one past the previous tuple in every word) after which
+    the suffixes still hold a joint LCS one shorter.  Suffix values come
+    from brute_lcs for two words and brute_lcs_multi otherwise.
+    Returns one index tuple per word.
+    """
+    ws = [tuple(w) for w in words]
+    joint = brute_lcs if len(ws) == 2 else lambda *s: brute_lcs_multi(s)
+
+    def rest(front: tuple[int, ...]) -> int:
+        return joint(*(w[i:] for w, i in zip(ws, front)))
+
+    front = (0,) * len(ws)
+    picks = []
+    need = rest(front)
+    while need:
+        need -= 1
+        picks.append(next(
+            u for u in itertools.product(
+                *(range(i, len(w)) for w, i in zip(ws, front)))
+            if len({w[i] for w, i in zip(ws, u)}) == 1
+            and rest(tuple(i + 1 for i in u)) == need))
+        front = tuple(i + 1 for i in picks[-1])
+    return tuple(tuple(u[d] for u in picks) for d in range(len(ws)))
+
+
 # -- twins by exhaustive role enumeration ------------------------------------
 
 

@@ -3,6 +3,7 @@
 import doctest
 import json
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -114,6 +115,15 @@ def test_twins_budget_exceeded(capsys):
     code, _, err = run(capsys, "twins", word, "--budget-nodes", "10")
     assert code == 3
     assert "budget" in err.lower()
+
+
+@pytest.mark.parametrize("method", ["--exact", "--oracle"])
+@pytest.mark.parametrize("limit", ["0", "3"])
+def test_twins_explicit_max_length_is_honoured(capsys, method, limit):
+    code, out, err = run(capsys, "twins", "0110", method, "--max-length", limit)
+    assert code == 2
+    assert out == ""
+    assert f"length <= {limit}, got 4" in err
 
 
 # -- constructions -----------------------------------------------------------------
@@ -258,3 +268,26 @@ def test_readme_library_example():
     test = doctest.DocTestParser().get_doctest(block, {}, "README", None, 0)
     result = doctest.DocTestRunner().run(test)
     assert result.attempted and not result.failed
+
+
+def _readme_commands():
+    """(argv, shown lines) for each ``$ twinlcs`` example of the README."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"```\n(\$ twinlcs .*?)```", readme, re.S).group(1)
+    for example in block.strip().split("\n\n"):
+        command, *shown = example.splitlines()
+        yield pytest.param(shlex.split(command)[2:], shown, id=command[2:])
+
+
+@pytest.mark.parametrize("argv, shown", _readme_commands())
+def test_readme_command_line_examples(capsys, argv, shown):
+    code, out, _ = run(capsys, *argv)
+    printed = out.splitlines()
+    assert code == 0
+    if "..." in shown:  # the README elides the middle of the output
+        cut = shown.index("...")
+        head, tail = shown[:cut], shown[cut + 1:]
+        assert printed[:len(head)] == head
+        assert printed[len(printed) - len(tail):] == tail
+    else:
+        assert printed == shown

@@ -16,6 +16,7 @@ from twinlcs import (
     SUITES,
     estimate_lt_tail,
     expected_lcs,
+    lt_exact,
     lt_oracle,
     minimize_expected_lcs,
     pairwise_lcs_table,
@@ -136,6 +137,18 @@ def test_tail_monte_carlo_interval_covers_truth():
     est = estimate_lt_tail(2, 13, 0.4, config)
     assert est.method == "monte-carlo"
     assert est.lo <= truth <= est.hi
+
+
+def test_tail_monte_carlo_counts_words_reaching_the_threshold():
+    # one decision search per trial must count the words whose exact twin
+    # length reaches the threshold
+    config = ExperimentConfig(seed=2, trials=40)
+    est = estimate_lt_tail(3, 24, 0.45, config)
+    hits = sum(lt_exact(sample_word(3, 24, 2, index=t)).length >= est.pairs
+               for t in range(40))
+    assert 0 < est.successes == hits < 40
+    with pytest.raises(ValueError, match="length <= 40"):
+        estimate_lt_tail(3, 41, 0.45, config)
 
 
 # -- permutation distributions ------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_lcs, brute_lcs_multi
+from oracles import brute_lcs, brute_lcs_multi, leftmost_greedy_lcs
 from twinlcs import (
     BudgetError,
     Word,
@@ -58,6 +58,19 @@ def test_pair_budget():
     a = Word((1,) * 600, 2)
     with pytest.raises(BudgetError):
         lcs_pair(a, a, budget_cells=1000)
+
+
+def test_pair_length_ignores_cell_budget():
+    # two-word lengths come from the bit-parallel row DP, which has no table
+    a = Word((1,) * 600, 2)
+    assert lcs_multi([a, a], witness=False, budget_cells=1000).length == 600
+    assert lcs_pair(a, a, witness=False, budget_cells=1000).length == 600
+
+
+@given(pairs)
+def test_pair_witness_is_leftmost_greedy(ab):
+    a, b = ab
+    assert lcs_pair(a, b).indices == leftmost_greedy_lcs((a.letters, b.letters))
 
 
 @given(pairs)
@@ -121,6 +134,19 @@ multis = st.integers(2, 3).flatmap(
 def test_multi_matches_brute_force(ws):
     res = lcs_multi(ws, witness=False)
     assert res.length == brute_lcs_multi([w.letters for w in ws])
+
+
+short_multis = st.integers(2, 4).flatmap(
+    lambda k: st.lists(
+        st.lists(st.integers(1, k), max_size=6).map(lambda ls: Word(tuple(ls), k)),
+        min_size=2, max_size=4))
+
+
+@given(short_multis)
+def test_multi_witness_is_leftmost_greedy(ws):
+    res = lcs_multi(ws)
+    assert res.indices == leftmost_greedy_lcs([w.letters for w in ws])
+    assert res.word.letters == tuple(ws[0][i] for i in res.indices[0])
 
 
 def test_multi_witness():

@@ -70,11 +70,13 @@ def lcs_len(a: Word, b: Word) -> int:
     return row.bit_count()
 
 
-def _check_budget(cells: int, budget_cells: int, what: str) -> None:
+def _check_budget(cells: int, budget_cells: int, what: str, *,
+                  length_only_helps: bool = False) -> None:
     if cells > budget_cells:
+        hint = " or use length-only queries" if length_only_helps else ""
         raise BudgetError(
             f"{what} needs {cells} alignment cells, over the budget of "
-            f"{budget_cells}; raise budget_cells or use length-only queries"
+            f"{budget_cells}; raise budget_cells{hint}"
         )
 
 
@@ -188,7 +190,9 @@ def lcs_multi(words: Sequence[Word], *, witness: bool = True,
             return LcsResult(0)
         return LcsResult(0, Word((), words[0].k), ((),) * len(words))
     cells = prod(len(w) + 1 for w in words)
-    _check_budget(cells, budget_cells, f"{len(words)}-way alignment")
+    # only a two-word witness has a length-only route that needs no table
+    _check_budget(cells, budget_cells, f"{len(words)}-way alignment",
+                  length_only_helps=len(words) == 2)
     S = _suffix_table(words)
     length = int(S[(0,) * len(words)])
     if not witness:

@@ -253,13 +253,15 @@ def is_regular(w: Word, eps, max_length: int) -> RegularityReport:
     for m in range(1, max_length + 1):
         for i in range(n - m + 1):
             starts.setdefault(w.letters[i : i + m], []).append(i)
-    global_freq = {pat: Fraction(len(pos), n - len(pat) + 1) for pat, pos in starts.items()}
     patterns = sorted(starts, key=lambda pat: (len(pat), pat))
 
-    threshold = eps * n
+    # With eps = a/b, c of `slots` window starts and g of `total` word starts:
+    # |c/slots - g/total| >= eps  <=>  b |c total - g slots| >= a slots total,
+    # decided in ints; the Fraction gap is built only for the witness.
+    a, b = eps.numerator, eps.denominator
     for i in range(n):
         for j in range(i + 1, n + 1):
-            if Fraction(j - i) < threshold:
+            if b * (j - i) < a * n:  # shorter than eps * n
                 continue
             for pat in patterns:
                 m = len(pat)
@@ -268,8 +270,9 @@ def is_regular(w: Word, eps, max_length: int) -> RegularityReport:
                 pos = starts[pat]
                 # occurrences fully inside [i, j)
                 c = bisect_right(pos, j - m) - bisect_left(pos, i)
-                gap = abs(Fraction(c, j - i - m + 1) - global_freq[pat])
-                if gap >= eps:
+                slots, total = j - i - m + 1, n - m + 1
+                if b * abs(c * total - len(pos) * slots) >= a * slots * total:
+                    gap = abs(Fraction(c, slots) - Fraction(len(pos), total))
                     witness = RegularityWitness(i, j, Word(pat, w.k), gap)
                     return RegularityReport(False, witness)
     return RegularityReport(True, None)

@@ -218,3 +218,89 @@ def tail_counts(k: int, n: int, max_len: int = 14) -> Counter:
     for letters in itertools.product(range(1, k + 1), repeat=n):
         counts[brute_twins(letters)] += 1
     return counts
+
+
+# -- expected-LCS descent and regularity, as scalar loops ----------------------
+
+
+def exchange_descent(a: Sequence[Sequence[float]], p: Sequence[float],
+                     ap: Sequence[float], *, tol: float = 1e-12,
+                     max_sweeps: int = 500) -> list[float]:
+    """Pair-by-pair exchange descent for p^T A p over the simplex.
+
+    Visits every pair i < j in order and applies each improving move at
+    once: the shift t of mass from coordinate i to j minimises
+    2 t g + t^2 c over the candidates (-p[j], p[i] and, when c > 0, the
+    clipped stationary point), where g = (Ap)[j] - (Ap)[i] and
+    c = A[i][i] + A[j][j] - 2 A[i][j].  Stops after a sweep with no
+    move.  The caller supplies Ap for the start (its rounding depends on
+    how the product was summed); the final p is returned unnormalised.
+    """
+    a = [list(map(float, row)) for row in a]
+    p = list(map(float, p))
+    ap = list(map(float, ap))
+    size = len(p)
+    for _ in range(max_sweeps):
+        improved = False
+        for i in range(size):
+            for j in range(i + 1, size):
+                g = ap[j] - ap[i]
+                c = a[i][i] + a[j][j] - 2.0 * a[i][j]
+                lo, hi = -p[j], p[i]
+                best_t = 0.0
+                best_delta = 0.0
+                for t in (lo, hi) if c <= 0 else (lo, hi,
+                                                  min(hi, max(lo, -g / c))):
+                    delta = 2.0 * t * g + t * t * c
+                    if delta < best_delta:
+                        best_delta = delta
+                        best_t = t
+                if best_delta < -tol:
+                    p[i] -= best_t
+                    p[j] += best_t
+                    for r in range(size):
+                        ap[r] += best_t * (a[r][j] - a[r][i])
+                    improved = True
+        if not improved:
+            break
+    return p
+
+
+def expected_lcs_naive(table: Sequence[Sequence[int]],
+                       weights: Sequence) -> Fraction:
+    """sum_ij w_i w_j T[i][j] as one Fraction double sum."""
+    total = Fraction(0)
+    for wi, row in zip(weights, table):
+        for wj, t in zip(weights, row):
+            total += Fraction(wi) * Fraction(wj) * int(t)
+    return total
+
+
+def regularity_violation(letters: Sequence[int], eps,
+                         max_length: int) -> Optional[tuple]:
+    """First (start, end, pattern, gap) with a window frequency off by at
+    least eps, scanning windows by (start, end) and patterns by (length,
+    lexicographic); None when the word is (eps, L)-regular.  Every
+    comparison is made with Fractions."""
+    letters = tuple(letters)
+    eps = Fraction(eps)
+    n = len(letters)
+    occurrences: dict = {}
+    for m in range(1, max_length + 1):
+        for i in range(n - m + 1):
+            occurrences.setdefault(letters[i:i + m], []).append(i)
+    patterns = sorted(occurrences, key=lambda pat: (len(pat), pat))
+    for i in range(n):
+        for j in range(i + 1, n + 1):
+            if Fraction(j - i) < eps * n:
+                continue
+            for pat in patterns:
+                m = len(pat)
+                if m > j - i:
+                    continue
+                inside = sum(1 for s in occurrences[pat] if i <= s <= j - m)
+                gap = abs(Fraction(inside, j - i - m + 1)
+                          - Fraction(len(occurrences[pat]), n - m + 1))
+                if gap >= eps:
+                    return i, j, pat, gap
+    return None

@@ -291,3 +291,13 @@ def test_readme_command_line_examples(capsys, argv, shown):
         assert printed[len(printed) - len(tail):] == tail
     else:
         assert printed == shown
+
+
+def test_conjecture_bad_input_exits_cleanly(capsys):
+    code, out, err = run(capsys, "experiment", "conjecture", "--k", "7")
+    assert code == 3 and out == ""
+    assert err.startswith("budget exceeded:")
+    for argv in (("--k", "0"), ("--k", "3", "--starts", "0")):
+        code, out, err = run(capsys, "experiment", "conjecture", *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error:") and "Traceback" not in err, argv

@@ -1,14 +1,19 @@
 """Experiments: RNG discipline, tail estimation, conjecture search, suites."""
 
 import csv
+import hashlib
+import itertools
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import brute_lcs
+from oracles import brute_lcs, exchange_descent, expected_lcs_naive
 from twinlcs import (
     BudgetError,
     ExperimentConfig,
@@ -30,6 +35,7 @@ from twinlcs import (
     write_json,
     write_jsonl,
 )
+from twinlcs.experiments import _local_minimum
 
 
 # -- rng discipline -------------------------------------------------------------
@@ -162,18 +168,27 @@ def test_permutations_of():
 
 
 def test_pairwise_lcs_table():
+    for k in range(1, 6):
+        table = pairwise_lcs_table(k)
+        perms = permutations_of(k)
+        assert table.dtype == np.int16
+        assert not table.flags.writeable
+        assert table.shape == (len(perms), len(perms))
+        assert (table == table.T).all()
+        for i, j in itertools.product(range(len(perms)), repeat=2):
+            assert table[i, j] == brute_lcs(perms[i], perms[j]), (k, i, j)
     table = pairwise_lcs_table(3)
-    perms = permutations_of(3)
-    assert table.shape == (6, 6)
-    assert (table == table.T).all()
-    for i in range(6):
-        assert table[i, i] == 3
-        for j in range(6):
-            assert table[i, j] == brute_lcs(perms[i], perms[j])
     # the three reverse pairs meet only in one letter
     assert table[0, 5] == table[1, 3] == table[2, 4] == 1
     with pytest.raises(BudgetError):
         pairwise_lcs_table(7)
+
+
+def test_pairwise_lcs_table_k6_digest():
+    table = pairwise_lcs_table(6)
+    assert table.dtype == np.int16 and table.shape == (720, 720)
+    assert hashlib.sha256(table.tobytes()).hexdigest() == (
+        "5efed4e49edefb27ff6f48ad14dcf683ad066dfcfb4c3b28daf0eb41faed1284")
 
 
 def test_distribution_validation():
@@ -195,10 +210,67 @@ def test_expected_lcs_exact_values():
     assert expected_lcs(PermutationDistribution.uniform(2)) == Fraction(3, 2)
     assert expected_lcs(PermutationDistribution.uniform(3)) == 2
     assert expected_lcs(PermutationDistribution.point_mass(4, 7)) == 4
+    assert expected_lcs(PermutationDistribution.uniform(5)) \
+        == Fraction(67, 24)
+    assert expected_lcs(PermutationDistribution.uniform(6)) \
+        == Fraction(2261, 720)
     uniform = PermutationDistribution.uniform(3)
     float_dist = PermutationDistribution(3, tuple(float(w)
                                                   for w in uniform.weights))
     assert expected_lcs(float_dist) == pytest.approx(2.0)
+
+
+@lru_cache(maxsize=None)
+def brute_table(k):
+    perms = list(itertools.permutations(range(1, k + 1)))
+    return tuple(tuple(brute_lcs(a, b) for b in perms) for a in perms)
+
+
+@st.composite
+def rational_laws(draw):
+    """Exact laws for k <= 4 mixing int and Fraction weights, with zeros."""
+    k = draw(st.integers(1, 4))
+    size = math.factorial(k)
+    raw = draw(st.lists(st.integers(0, 5), min_size=size, max_size=size)
+               .filter(any))
+    total = sum(raw)
+    as_int = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    weights = tuple(x // total if flag and x % total == 0
+                    else Fraction(x, total)
+                    for x, flag in zip(raw, as_int))
+    return PermutationDistribution(k, weights)
+
+
+@given(rational_laws())
+def test_expected_lcs_matches_naive_fraction_sum(dist):
+    got = expected_lcs(dist)
+    assert isinstance(got, Fraction)
+    assert got == expected_lcs_naive(brute_table(dist.k), dist.weights)
+
+
+def test_local_minimum_matches_scalar_oracle():
+    # the array-step descent must reproduce the pair-by-pair loop bit for bit
+    for k in (3, 4):
+        a = pairwise_lcs_table(k).astype(np.float64)
+        size = a.shape[0]
+        vertex = np.full(size, 1e-9)
+        vertex[size // 3] = 1.0
+        starts = [np.full(size, 1.0 / size), vertex / vertex.sum()]
+        starts += [substream(0, s).dirichlet(np.ones(size))
+                   for s in range(1, 9)]
+        for start in starts:
+            value, p = _local_minimum(a, start)
+            raw = exchange_descent(a.tolist(), start.tolist(),
+                                   (a @ start).tolist())
+            want = np.maximum(np.array(raw), 0.0)
+            want /= want.sum()
+            assert value == float(want @ a @ want), (k, start)
+            assert np.array_equal(p, want), (k, start)
+
+
+def test_minimize_k5_pinned():
+    res = minimize_expected_lcs(5, ExperimentConfig(seed=0), starts=4)
+    assert (res.value, res.best_start) == (2.5833333333347173, 3)
 
 
 def test_minimize_expected_lcs():
@@ -221,6 +293,7 @@ def test_minimize_beats_uniform_at_k4():
     # should land strictly below it while staying above the sqrt(k) floor
     res = minimize_expected_lcs(4, ExperimentConfig(seed=0, starts=30))
     assert float(res.value) == pytest.approx(2.25, abs=1e-6)
+    assert (res.value, res.best_start) == (2.2500000000000524, 13)
     assert float(res.value) < float(res.uniform_value)
     assert not res.below_conjectured_floor
 

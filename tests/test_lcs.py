@@ -56,8 +56,20 @@ def test_pair_edge_cases():
 
 def test_pair_budget():
     a = Word((1,) * 600, 2)
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="or use length-only queries$"):
         lcs_pair(a, a, budget_cells=1000)
+
+
+def test_budget_message_length_only_queries_get_no_length_only_hint():
+    a = Word((1,) * 20, 2)
+    for call in (lambda: lcs_multi([a, a, a], witness=False, budget_cells=1000),
+                 lambda: lcs_multi([a, a, a], budget_cells=1000),
+                 lambda: set_lcs_stats([a, a, a], 3, budget_cells=1000)):
+        with pytest.raises(BudgetError) as info:
+            call()
+        message = str(info.value)
+        assert message.endswith("; raise budget_cells"), message
+        assert "length-only" not in message
 
 
 def test_pair_length_ignores_cell_budget():

@@ -1,12 +1,14 @@
 """Word type, parsing, subword frequencies, regularity, structural ops."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import regularity_violation
 from twinlcs import (
     Word,
     distinguish,
@@ -135,6 +137,35 @@ def test_regularity_violation_is_first_in_scan_order():
     assert (witness.start, witness.end) == (0, 2)
     assert witness.pattern == Word((1,), 2)
     assert witness.gap == Fraction(1, 2)
+
+
+def test_regularity_matches_fraction_oracle():
+    # integer decisions must give the same verdict, witness and gap as
+    # comparing Fractions window by window
+    rng = random.Random(20)
+    verdicts = set()
+    for _ in range(300):
+        k = rng.randint(1, 3)
+        n = rng.randint(1, 16)
+        if rng.random() < 0.3:  # periodic words are often regular
+            period = rng.randint(1, 3)
+            unit = [rng.randint(1, k) for _ in range(period)]
+            letters = tuple((unit * n)[:n])
+        else:
+            letters = tuple(rng.randint(1, k) for _ in range(n))
+        eps = Fraction(rng.randint(1, 12), 12)
+        max_length = rng.randint(1, min(3, n))
+        report = is_regular(Word(letters, k), eps, max_length)
+        expected = regularity_violation(letters, eps, max_length)
+        verdicts.add(report.ok)
+        if expected is None:
+            assert report.ok and report.witness is None
+        else:
+            got = report.witness
+            assert not report.ok
+            assert (got.start, got.end, got.pattern.letters, got.gap) \
+                == expected, (letters, eps, max_length)
+    assert verdicts == {True, False}
 
 
 def test_regularity_validation():

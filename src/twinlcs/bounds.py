@@ -107,9 +107,11 @@ def alpha_threshold(k: int, *, step: float = 1e-3,
         lo -= step
     if theta(lo, k).value < 0:
         return None
-    # theta(lo) >= 0 > theta(hi); bisect the crossing
+    # theta(lo) >= 0 > theta(hi); bisect the crossing down to adjacent floats
     while hi - lo > tol:
         mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            break
         if theta(mid, k).value < 0:
             hi = mid
         else:
@@ -212,13 +214,14 @@ def union_bound(k: int, n: int, pairs: int) -> Fraction:
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float,
                 tol: float) -> float:
-    """Golden-section minimum of a unimodal function on [lo, hi]."""
+    """Golden-section minimum of a unimodal function on [lo, hi], to width
+    tol or until a probe rounds onto an end and the bracket cannot shrink."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv * (b - a)
     d = a + inv * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > tol and a < c < b and a < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv * (b - a)

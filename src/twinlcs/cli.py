@@ -10,6 +10,7 @@ carrying a schema_version field; ``--out`` redirects output to a file.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -19,9 +20,7 @@ from typing import Optional
 from .bounds import (alpha_threshold, asymptotic_threshold,
                      lower_bound_values, minmax_constant, role_count,
                      role_prob, theta, union_bound)
-from .constructions import (FAMILY_BUILDERS, check_family, cube_quadruple,
-                            grid_pair, multiperm_quadruple, quadratic_family,
-                            stratified_family, tuplet_family)
+from .constructions import FAMILY_BUILDERS, check_family
 from .errors import BudgetError, InvalidCertificateError
 from .experiments import (SCHEMA_VERSION, SUITES, ExperimentConfig,
                           estimate_lt_tail, minimize_expected_lcs,
@@ -56,10 +55,8 @@ def _emit(args: argparse.Namespace, payload: dict,
 
 
 def _config_from(args: argparse.Namespace, **overrides) -> ExperimentConfig:
-    return ExperimentConfig(seed=args.seed,
-                            budget_nodes=args.budget_nodes,
-                            budget_cells=args.budget_cells,
-                            out=args.out, **overrides)
+    return ExperimentConfig(seed=args.seed, budget_nodes=args.budget_nodes,
+                            budget_cells=args.budget_cells, **overrides)
 
 
 # -- subcommand handlers ------------------------------------------------------
@@ -143,19 +140,13 @@ def _parse_ms(text: str) -> tuple[int, ...]:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    family = args.family
-    if family == "quadratic":
-        out = quadratic_family(args.p, k=args.k)
-    elif family == "cube":
-        out = cube_quadruple(args.n)
-    elif family == "grid":
-        out = grid_pair(args.k, args.s, k1=args.k1, k2=args.k2)
-    elif family == "multiperm":
-        out = multiperm_quadruple(args.s, args.k1, args.k2, args.k3, k=args.k)
-    elif family == "tuplet":
-        out = tuplet_family(args.t, args.kappa)
-    else:
-        out = stratified_family(args.k, args.n, _parse_ms(args.ms))
+    build = FAMILY_BUILDERS[args.family]
+    # option dests match builder parameters; the rest keep their defaults
+    params = inspect.signature(build).parameters
+    kwargs = {k: v for k, v in vars(args).items() if k in params}
+    if "ms" in kwargs:
+        kwargs["ms"] = _parse_ms(kwargs["ms"])
+    out = build(**kwargs)
     payload = out.to_json()
     lines = [f"family: {out.family}",
              "params: " + " ".join(f"{k}={v}" for k, v in out.params),
@@ -250,8 +241,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.experiment == "lt-tail":
-        config = _config_from(args, trials=args.trials, k=args.k, n=args.n,
-                              alpha=args.alpha)
+        config = _config_from(args, trials=args.trials)
         estimate = estimate_lt_tail(args.k, args.n, args.alpha, config)
         lines = [f"Pr[LT >= {estimate.pairs}] over [{args.k}]^{args.n}",
                  f"method: {estimate.method}",
@@ -262,8 +252,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             lines.append(f"exact: {estimate.exact}")
         _emit(args, estimate.to_json(), lines)
         return 0
-    config = _config_from(args, k=args.k, starts=args.starts)
-    result = minimize_expected_lcs(args.k, config)
+    result = minimize_expected_lcs(args.k, _config_from(args),
+                                   starts=args.starts)
     lines = [f"minimum found: {result.value:.9f}",
              f"uniform value: {result.uniform_value:.9f}",
              f"starts: {result.starts} (best: {result.best_start})",
@@ -341,6 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", parents=[common],
                        help="build a low-LCS word family")
+    p.set_defaults(func=_cmd_construct)
     fam = p.add_subparsers(dest="family", required=True)
     q = fam.add_parser("quadratic", parents=[common])
     q.add_argument("--p", type=int, required=True, help="prime modulus")
@@ -368,18 +359,15 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--ms", type=str, required=True,
                    help="comma-separated block lengths")
-    for name in ("quadratic", "cube", "grid", "multiperm", "tuplet",
-                 "stratified"):
-        fam.choices[name].add_argument(
-            "--check", action="store_true",
-            help="verify every ceiling numerically")
-        fam.choices[name].add_argument(
-            "--set-restrict", type=int, default=None,
-            help="restrict alphabet before joint-LCS checks")
-        fam.choices[name].set_defaults(func=_cmd_construct)
+    for q in fam.choices.values():
+        q.add_argument("--check", action="store_true",
+                       help="verify every ceiling numerically")
+        q.add_argument("--set-restrict", type=int, default=None,
+                       help="restrict alphabet before joint-LCS checks")
 
     p = sub.add_parser("bound", parents=[common],
                        help="tail-bound calculus and constants")
+    p.set_defaults(func=_cmd_bound)
     what = p.add_subparsers(dest="what", required=True)
     q = what.add_parser("theta", parents=[common])
     q.add_argument("--alpha", type=float, required=True)
@@ -406,22 +394,19 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--z", type=int, default=None)
     q = what.add_parser("constants", parents=[common])
     q.add_argument("--k", type=int, required=True)
-    for name in ("theta", "threshold", "union", "count", "prob", "constants"):
-        what.choices[name].set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("experiment", parents=[common],
                        help="seeded randomized experiments")
+    p.set_defaults(func=_cmd_experiment)
     exp = p.add_subparsers(dest="experiment", required=True)
     q = exp.add_parser("lt-tail", parents=[common])
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--trials", type=int, default=1000)
-    q.set_defaults(func=_cmd_experiment)
     q = exp.add_parser("conjecture", parents=[common])
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--starts", type=int, default=100)
-    q.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("verify", parents=[common],
                        help="run a verification suite")

@@ -92,15 +92,6 @@ class LexSpec:
                 raise ValueError(f"key table is not injective at {key}")
             seen.add(key)
 
-    @property
-    def arity(self) -> int:
-        return len(self.rows[0][1]) if self.rows else 0
-
-    def negate(self) -> "LexSpec":
-        """Negate every key component; building the result reverses the word."""
-        return LexSpec(tuple((letter, tuple(-c for c in key))
-                             for letter, key in self.rows))
-
 
 def lex_build(spec: LexSpec, k: Optional[int] = None) -> Word:
     """The word read off the key table in sorted key order."""

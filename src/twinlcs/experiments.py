@@ -34,43 +34,32 @@ from .words import Word
 SCHEMA_VERSION = 1
 Z95 = 1.959963984540054
 MAX_TABLE_K = 6
-SUITES = ("constructions", "roles", "twins-oracle", "bounds", "lemmas")
+EXHAUSTIVE_CAP = 4096
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full parameter set of a seeded experiment; reruns with an equal
-    config produce bit-identical results."""
+    """Seed, trial count and work budgets of a seeded experiment (the
+    exhaustive cap is EXHAUSTIVE_CAP); reruns with an equal config
+    produce bit-identical results."""
 
     seed: int = 0
     trials: int = 1000
-    k: Optional[int] = None
-    n: Optional[int] = None
-    alpha: Optional[float] = None
-    starts: int = 100
     budget_nodes: int = DEFAULT_NODE_BUDGET
     budget_cells: int = DEFAULT_BUDGET_CELLS
-    exhaustive_cap: int = 4096
-    out: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if self.starts < 1:
-            raise ValueError("starts must be positive")
         if self.budget_nodes < 1 or self.budget_cells < 1:
             raise ValueError("budgets must be positive")
-        if self.exhaustive_cap < 1:
-            raise ValueError("exhaustive cap must be positive")
 
     def to_json(self) -> dict:
-        return {"seed": self.seed, "trials": self.trials, "k": self.k,
-                "n": self.n, "alpha": self.alpha, "starts": self.starts,
+        return {"seed": self.seed, "trials": self.trials,
                 "budget_nodes": self.budget_nodes,
-                "budget_cells": self.budget_cells,
-                "exhaustive_cap": self.exhaustive_cap, "out": self.out}
+                "budget_cells": self.budget_cells}
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -152,7 +141,7 @@ def estimate_lt_tail(k: int, n: int, alpha: float,
     """Probability that a uniform word has twins of length >= alpha * n.
 
     Exhaustive (exact fraction, collapsed interval) when k^n is at most
-    the configured cap; Monte Carlo with a Wilson 95% interval
+    EXHAUSTIVE_CAP (4096); Monte Carlo with a Wilson 95% interval
     otherwise.  Each trial substream makes one twin search call for
     exactly m pairs (twins of length m exist exactly when LT >= m), and
     the node budget bounds that call.
@@ -166,7 +155,7 @@ def estimate_lt_tail(k: int, n: int, alpha: float,
     if m == 0:
         return TailEstimate(k, n, alpha, 0, 1.0, 1.0, 1.0, 0, 0, "exact",
                             Fraction(1), config)
-    if k ** n <= config.exhaustive_cap:
+    if k ** n <= EXHAUSTIVE_CAP:
         total = k ** n
         hits = 0
         for letters in itertools.product(range(1, k + 1), repeat=n):
@@ -409,7 +398,7 @@ class MinimizeResult:
 
 def minimize_expected_lcs(k: int,
                           config: Optional[ExperimentConfig] = None,
-                          *, starts: Optional[int] = None) -> MinimizeResult:
+                          *, starts: int = 100) -> MinimizeResult:
     """Multi-start local minimization of E[LCS] over distributions on
     permutations of [k].
 
@@ -421,15 +410,14 @@ def minimize_expected_lcs(k: int,
     Python 3.11, numpy 2.4).
     """
     config = config or ExperimentConfig()
-    n_starts = starts if starts is not None else config.starts
-    if n_starts < 1:
+    if starts < 1:
         raise ValueError("starts must be positive")
     table = pairwise_lcs_table(k).astype(np.float64)
     size = table.shape[0]
     uniform = np.full(size, 1.0 / size)
     uniform_value = float(uniform @ table @ uniform)
     best_value, best_p, best_start = math.inf, uniform, 0
-    for start_index in range(n_starts):
+    for start_index in range(starts):
         if start_index == 0:
             start = uniform
         else:
@@ -439,7 +427,7 @@ def minimize_expected_lcs(k: int,
         if value < best_value:
             best_value, best_p, best_start = value, p, start_index
     dist = PermutationDistribution(k, tuple(float(x) for x in best_p))
-    return MinimizeResult(k, best_value, dist, uniform_value, n_starts,
+    return MinimizeResult(k, best_value, dist, uniform_value, starts,
                           best_start, config)
 
 
@@ -489,8 +477,11 @@ def _suite_constructions(config: ExperimentConfig) -> list[CheckResult]:
                                 quadratic_family, stratified_family,
                                 tuplet_family)
 
-    def holds(out, **kwargs) -> str:
-        report = check_family(out, budget_cells=config.budget_cells, **kwargs)
+    built = set()
+
+    def holds(out) -> str:
+        built.add(out.family)
+        report = check_family(out, budget_cells=config.budget_cells)
         bad = [(c, v) for c, v, ok in report if not ok]
         assert not bad, f"{out.family}{out.params}: ceilings violated {bad}"
         return f"{len(report)} ceilings hold"
@@ -521,9 +512,13 @@ def _suite_constructions(config: ExperimentConfig) -> list[CheckResult]:
         checks.append(_run_check(
             f"stratified k={k} n={n} ms={ms}",
             lambda k=k, n=n, ms=ms: holds(stratified_family(k, n, ms))))
-    checks.append(_run_check(
-        "registry lists every family",
-        lambda: f"{sorted(FAMILY_BUILDERS)}"))
+
+    def registry_covered() -> str:
+        missing = sorted(set(FAMILY_BUILDERS) - built)
+        assert not missing, f"no case builds {missing}"
+        return f"{sorted(FAMILY_BUILDERS)}"
+
+    checks.append(_run_check("registry lists every family", registry_covered))
     return checks
 
 
@@ -741,6 +736,7 @@ _SUITE_RUNNERS = {
     "bounds": _suite_bounds,
     "lemmas": _suite_lemmas,
 }
+SUITES = tuple(_SUITE_RUNNERS)
 
 
 def verify_suite(name: str,

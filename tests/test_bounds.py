@@ -107,6 +107,16 @@ def test_threshold_is_rightmost_sign_change():
             assert theta(a, k).value < 0
 
 
+def test_zero_tolerance_searches_terminate():
+    # at tol = 0 both searches stop once the bracket cannot shrink further
+    for k in (4, 5, 4000):
+        res = alpha_threshold(k, tol=0)
+        assert res.alpha == pytest.approx(alpha_threshold(k).alpha, abs=1e-9)
+        assert alpha_threshold(k, tol=1e-17).alpha == res.alpha
+    assert minmax_constant(tol=0).value == pytest.approx(
+        minmax_constant().value, abs=1e-9)
+
+
 # -- asymptotic forms ------------------------------------------------------------
 
 

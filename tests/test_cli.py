@@ -11,6 +11,9 @@ from pathlib import Path
 import pytest
 
 from twinlcs.cli import load_word, main
+from twinlcs.constructions import FAMILY_BUILDERS
+from twinlcs.lcs import DEFAULT_BUDGET_CELLS
+from twinlcs.twins import DEFAULT_NODE_BUDGET
 
 
 def run(capsys, *argv):
@@ -150,6 +153,133 @@ def test_construct_not_prime(capsys):
     assert "not prime" in err
 
 
+CONSTRUCT_GOLDEN = {
+    "quadratic --p 2 --k 6": """\
+family: quadratic
+params: p=2 k=6
+words: 2
+  k=6;w=1,5,3,2,6,4
+  k=6;w=1,6,4,2,5,3
+ceilings: 1
+  lcs[0, 1] <= 6
+""",
+    "cube --n 2": """\
+family: cube
+params: n=2
+words: 4
+  k=8;w=1,2,3,4,5,6,7,8
+  k=8;w=7,8,5,6,3,4,1,2
+  k=8;w=6,5,8,7,2,1,4,3
+  k=8;w=4,3,2,1,8,7,6,5
+ceilings: 6
+  lcs[0, 1] <= 2
+  lcs[0, 2] <= 2
+  lcs[0, 3] <= 2
+  lcs[1, 2] <= 2
+  lcs[1, 3] <= 2
+  lcs[2, 3] <= 2
+""",
+    "grid --s 2 --k1 2 --k2 1": """\
+family: grid
+params: k=2 s=2 k1=2 k2=1 auto=False
+words: 2
+  k=2;w=1,1,2,2
+  k=2;w=1,1,2,2
+ceilings: 2
+  lcs[0, 1] <= 4
+  rev[0, 1] <= 2
+""",
+    "multiperm --s 1 --k 4": """\
+family: multiperm
+params: s=1 k=4 k1=2 k2=1 k3=2 auto=True
+words: 4
+  k=4;w=1,2,3,4
+  k=4;w=3,4,1,2
+  k=4;w=4,3,2,1
+  k=4;w=2,1,4,3
+ceilings: 6
+  lcs[0, 1] <= 2
+  lcs[2, 3] <= 2
+  lcs[0, 3] <= 2
+  lcs[1, 2] <= 2
+  lcs[0, 2] <= 1
+  lcs[1, 3] <= 1
+""",
+    "tuplet --t 2 --kappa 2 --check": """\
+family: tuplet
+params: t=2 kappa=2
+words: 4
+  k=8;w=8,7,6,5,4,3,2,1
+  k=8;w=2,1,4,3,6,5,8,7
+  k=8;w=3,4,1,2,7,8,5,6
+  k=8;w=5,6,7,8,1,2,3,4
+ceilings: 6
+  set[0, 1] <= 2: value 2 ok
+  set[0, 2] <= 2: value 2 ok
+  set[0, 3] <= 2: value 2 ok
+  set[1, 2] <= 2: value 2 ok
+  set[1, 3] <= 2: value 2 ok
+  set[2, 3] <= 2: value 2 ok
+""",
+    "stratified --k 2 --n 8 --ms 1,4 --set-restrict 1 --check": """\
+family: stratified
+params: k=2 n=8 ms=(1, 4)
+words: 5
+  k=2;w=1,2,1,2,1,2,1,2
+  k=2;w=1,1,1,1,2,2,2,2
+  k=2;w=1,1,1,1,1,1,1,1
+  k=2;w=2,2,2,2,2,2,2,2
+  k=2;w=2,2,2,2,1,1,1,1
+ceilings: 9
+  lcs[0, 1] <= 6: value 5 ok
+  lcs[2, 3] <= 0: value 0 ok
+  lcs[0, 2] <= 4: value 4 ok
+  lcs[0, 3] <= 4: value 4 ok
+  lcs[1, 2] <= 4: value 4 ok
+  lcs[1, 3] <= 4: value 4 ok
+  lcs[2, 4] <= 4: value 4 ok
+  lcs[3, 4] <= 4: value 4 ok
+  lcs[1, 4] <= 4: value 4 ok
+""",
+}
+
+
+def test_construct_golden_every_family(capsys):
+    assert {cmd.split()[0] for cmd in CONSTRUCT_GOLDEN} == set(FAMILY_BUILDERS)
+    for cmd, expected in CONSTRUCT_GOLDEN.items():
+        assert run(capsys, "construct", *cmd.split()) == (0, expected, ""), cmd
+
+
+def test_construct_json_golden(capsys):
+    code, out, err = run(capsys, "--json", "construct", "grid", "--s", "1",
+                         "--k1", "2", "--k2", "1", "--check")
+    assert (code, err) == (0, "")
+    lcs_ceiling = {"bound": 2, "indices": [0, 1], "mode": "lcs"}
+    rev_ceiling = {"bound": 1, "indices": [0, 1], "mode": "rev"}
+    assert json.loads(out) == {
+        "schema_version": 1, "family": "grid",
+        "params": {"auto": False, "k": 2, "k1": 2, "k2": 1, "s": 1},
+        "words": [{"k": 2, "letters": [1, 2]}, {"k": 2, "letters": [1, 2]}],
+        "ceilings": [lcs_ceiling, rev_ceiling],
+        "checks": [{"ceiling": lcs_ceiling, "ok": True, "value": 2},
+                   {"ceiling": rev_ceiling, "ok": True, "value": 1}]}
+
+
+def test_construct_bad_ms_exits_2(capsys):
+    code, out, err = run(capsys, "construct", "stratified", "--k", "2",
+                         "--n", "8", "--ms", "1,x")
+    assert (code, out) == (2, "")
+    assert err == ("error: --ms expects comma-separated integers: invalid "
+                   "literal for int() with base 10: 'x'\n")
+
+
+def test_construct_subcommands_are_the_registry(capsys):
+    with pytest.raises(SystemExit):
+        main(["construct", "--help"])
+    names = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1)
+    assert set(names.split(",")) == set(FAMILY_BUILDERS)
+
+
 # -- bounds ------------------------------------------------------------------------
 
 
@@ -161,6 +291,12 @@ def test_bound_threshold(capsys):
     code, out, _ = run(capsys, "bound", "threshold", "--k", "2")
     assert code == 0
     assert "certifies nothing" in out
+
+
+def test_bound_threshold_zero_tolerance_terminates(capsys):
+    code, out, err = run(capsys, "bound", "threshold", "--k", "4", "--tol", "0")
+    assert (code, err) == (0, "")
+    assert "alpha: 0.493156880" in out
 
 
 def test_bound_theta(capsys):
@@ -226,6 +362,20 @@ def test_experiment_lt_tail_seeded_json(capsys):
     doc = json.loads(out_a)
     assert doc["method"] == "monte-carlo"
     assert doc["trials"] == 40
+
+
+@pytest.mark.parametrize("argv, trials", [
+    (("lt-tail", "--k", "2", "--n", "12", "--alpha", "0.5"), 1000),
+    (("lt-tail", "--k", "3", "--n", "10", "--alpha", "0.4", "--trials", "5"),
+     5),
+    (("conjecture", "--k", "2", "--starts", "3"), 1000),
+])
+def test_experiment_json_config_has_four_keys(capsys, argv, trials):
+    code, out, _ = run(capsys, "--json", "--seed", "7", "experiment", *argv)
+    assert code == 0
+    assert json.loads(out)["config"] == {
+        "seed": 7, "trials": trials, "budget_nodes": DEFAULT_NODE_BUDGET,
+        "budget_cells": DEFAULT_BUDGET_CELLS}
 
 
 def test_experiment_conjecture(capsys):

@@ -274,16 +274,16 @@ def test_minimize_k5_pinned():
 
 
 def test_minimize_expected_lcs():
-    res2 = minimize_expected_lcs(2, ExperimentConfig(seed=0, starts=40))
+    res2 = minimize_expected_lcs(2, ExperimentConfig(seed=0), starts=40)
     assert float(res2.value) == pytest.approx(1.5, abs=1e-9)
     assert not res2.below_conjectured_floor
-    res3 = minimize_expected_lcs(3, ExperimentConfig(seed=0, starts=40))
+    res3 = minimize_expected_lcs(3, ExperimentConfig(seed=0), starts=40)
     assert float(res3.value) == pytest.approx(2.0, abs=1e-9)
     assert float(res3.value) >= math.sqrt(3)
     assert not res3.below_conjectured_floor
     assert float(res3.uniform_value) == pytest.approx(2.0)
     # determinism
-    again = minimize_expected_lcs(3, ExperimentConfig(seed=0, starts=40))
+    again = minimize_expected_lcs(3, ExperimentConfig(seed=0), starts=40)
     assert again.value == res3.value
     assert again.best_start == res3.best_start
 
@@ -291,7 +291,7 @@ def test_minimize_expected_lcs():
 def test_minimize_beats_uniform_at_k4():
     # the uniform distribution is not optimal at k = 4; the optimizer
     # should land strictly below it while staying above the sqrt(k) floor
-    res = minimize_expected_lcs(4, ExperimentConfig(seed=0, starts=30))
+    res = minimize_expected_lcs(4, ExperimentConfig(seed=0), starts=30)
     assert float(res.value) == pytest.approx(2.25, abs=1e-6)
     assert (res.value, res.best_start) == (2.2500000000000524, 13)
     assert float(res.value) < float(res.uniform_value)
@@ -301,15 +301,57 @@ def test_minimize_beats_uniform_at_k4():
 # -- verification suites ---------------------------------------------------------------
 
 
+SUITE_CHECKS = {
+    "constructions": [
+        "quadratic p=2", "quadratic p=3", "quadratic p=5",
+        "cube quadruple n=1", "cube quadruple n=2", "cube quadruple n=3",
+        "cube quadruple n=4", "grid pair explicit s=1 (2,2)",
+        "grid pair explicit s=2 (2,2)", "grid pair auto k=9 s=2",
+        "grid pair auto k=16 s=1", "multiperm s=1 dims=(2, 1, 2)",
+        "multiperm s=2 dims=(2, 1, 2)", "multiperm s=2 dims=(2, 2, 2)",
+        "tuplet t=2 kappa=2", "tuplet t=2 kappa=3",
+        "stratified k=2 n=8 ms=(1, 4)", "stratified k=3 n=18 ms=(1, 3, 6)",
+        "registry lists every family"],
+    "roles": [
+        "role count matches census", "binomial identity",
+        "reference role word probability",
+        "union bound dominates exact tail"],
+    "twins-oracle": [
+        "exact solver equals oracle (binary, exhaustive)",
+        "exact solver equals oracle (ternary, sampled)",
+        "run construction floor"],
+    "bounds": [
+        "density thresholds", "exponent negative above threshold",
+        "asymptotic ordering", "lower-bound constants"],
+    "lemmas": [
+        "sharp image tables", "random image floor",
+        "regularization properties", "block construction validity"],
+}
+
+
 def test_suites_all_pass():
+    assert list(SUITES) == list(SUITE_CHECKS)
     for name in SUITES:
         report = verify_suite(name)
         assert report.ok, report.summary_lines()
         assert report.suite == name
+        assert [c.name for c in report.checks] == SUITE_CHECKS[name]
         assert all(c.ok for c in report.checks)
         lines = report.summary_lines()
         assert lines[-1].startswith(f"suite {name}:")
         assert all(line.startswith("[PASS]") for line in lines[:-1])
+
+
+def test_registry_check_fails_for_a_family_without_a_case(monkeypatch):
+    from twinlcs import constructions
+    monkeypatch.setitem(constructions.FAMILY_BUILDERS, "fake",
+                        constructions.cube_quadruple)
+    report = verify_suite("constructions")
+    registry = report.checks[-1]
+    assert registry.name == "registry lists every family"
+    assert not registry.ok and "fake" in registry.detail
+    assert not report.ok
+    assert "[FAIL] registry lists every family" in report.summary_lines()[-2]
 
 
 def test_unknown_suite():
@@ -354,6 +396,4 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(seed=-1)
     with pytest.raises(ValueError):
-        ExperimentConfig(starts=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(exhaustive_cap=0)
+        minimize_expected_lcs(2, starts=0)

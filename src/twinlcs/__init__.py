@@ -26,7 +26,7 @@ from .experiments import (CheckResult, ExperimentConfig, MinimizeResult,
                           expected_lcs, minimize_expected_lcs,
                           pairwise_lcs_table, permutations_of, sample_word,
                           substream, threshold_pairs, verify_suite,
-                          wilson_interval, write_csv, write_json, write_jsonl)
+                          wilson_interval, write_json, write_jsonl)
 from .lcs import (DEFAULT_BUDGET_CELLS, LcsResult, ReversibleResult,
                   SetLcsStats, lcs_len, lcs_multi, lcs_pair, lcs_reversible,
                   set_lcs_stats)

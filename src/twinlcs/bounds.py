@@ -87,6 +87,12 @@ class ThresholdResult:
                 "bracket": list(self.bracket)}
 
 
+def _check_tol(tol: float) -> None:
+    # a NaN or infinite tol would end a search before its first step
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+
+
 def alpha_threshold(k: int, *, step: float = 1e-3,
                     tol: float = 1e-9) -> Optional[ThresholdResult]:
     """Scan down from alpha = 1/2 for the rightmost sign change of theta
@@ -97,6 +103,7 @@ def alpha_threshold(k: int, *, step: float = 1e-3,
     nonnegative and the method certifies nothing.  The scan step guards
     against non-monotone sign structure, which is not ruled out.
     """
+    _check_tol(tol)
     if theta(0.5, k).value >= 0:
         return None
     floor = 1.0 / k
@@ -216,6 +223,7 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float,
                 tol: float) -> float:
     """Golden-section minimum of a unimodal function on [lo, hi], to width
     tol or until a probe rounds onto an end and the bracket cannot shrink."""
+    _check_tol(tol)
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv * (b - a)

@@ -25,12 +25,10 @@ from .errors import BudgetError, InvalidCertificateError
 from .experiments import (SCHEMA_VERSION, SUITES, ExperimentConfig,
                           estimate_lt_tail, minimize_expected_lcs,
                           verify_suite)
-from .lcs import (DEFAULT_BUDGET_CELLS, lcs_pair, lcs_reversible,
-                  set_lcs_stats)
-from .twins import (DEFAULT_EXACT_LENGTH, DEFAULT_NODE_BUDGET,
-                    DEFAULT_ORACLE_LENGTH, lt_exact, lt_oracle, parse_roles,
-                    role_stats, roles_to_text, twins_via_blocks,
-                    twins_via_runs)
+from .lcs import lcs_pair, lcs_reversible, set_lcs_stats
+from .twins import (DEFAULT_EXACT_LENGTH, DEFAULT_ORACLE_LENGTH, lt_exact,
+                    lt_oracle, parse_roles, role_stats, roles_to_text,
+                    twins_via_blocks, twins_via_runs)
 from .words import Word, parse_word
 
 
@@ -278,9 +276,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="master seed for randomized work (default 0)")
+                        help="master seed for randomized work "
+                        f"(default {ExperimentConfig.seed})")
     common.add_argument("--budget-cells", type=int, default=argparse.SUPPRESS,
-                        help="cap on DP table cells")
+                        help="cap on LCS work: dense table cells, or "
+                        "chain steps for joint lengths")
     common.add_argument("--budget-nodes", type=int, default=argparse.SUPPRESS,
                         help="cap on twin search states")
     common.add_argument("--json", action="store_true",
@@ -403,10 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--alpha", type=float, required=True)
-    q.add_argument("--trials", type=int, default=1000)
+    q.add_argument("--trials", type=int, default=ExperimentConfig.trials)
     q = exp.add_parser("conjecture", parents=[common])
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--starts", type=int, default=100)
+    q.add_argument("--starts", type=int, default=inspect.signature(
+        minimize_expected_lcs).parameters["starts"].default)
 
     p = sub.add_parser("verify", parents=[common],
                        help="run a verification suite")
@@ -416,9 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
     return root
 
 
-_GLOBAL_DEFAULTS = (("seed", 0), ("budget_cells", DEFAULT_BUDGET_CELLS),
-                    ("budget_nodes", DEFAULT_NODE_BUDGET), ("json", False),
-                    ("out", None))
+_GLOBAL_DEFAULTS = (("seed", ExperimentConfig.seed),
+                    ("budget_cells", ExperimentConfig.budget_cells),
+                    ("budget_nodes", ExperimentConfig.budget_nodes),
+                    ("json", False), ("out", None))
 
 
 def main(argv: Optional[list[str]] = None) -> int:

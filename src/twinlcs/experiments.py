@@ -8,7 +8,6 @@ output byte for byte.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import math
@@ -767,13 +766,3 @@ def write_jsonl(path: str, records: Iterable[dict]) -> None:
                                 sort_keys=True))
             fh.write("\n")
 
-
-def write_csv(path: str, rows: Sequence[dict]) -> None:
-    if not rows:
-        raise ValueError("no rows to write")
-    fields = ["schema_version"] + list(rows[0].keys())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({"schema_version": SCHEMA_VERSION, **row})

@@ -2,8 +2,13 @@
 
 ``lcs_multi`` serves two or more words, and ``lcs_pair`` calls it.  Two-word
 lengths use a bit-parallel row DP (big-int rows, one pass per letter of the
-second word) and build no table.  Witnesses, and joint lengths of three or
-more words, come from one dense suffix table whatever the number of words.
+second word) and build no table.  Witnesses come from one dense suffix table
+whatever the number of words.  Joint lengths of three or more words take one
+of two routes, whichever costs less: the dense table, with prod(len(w)+1)
+cells, or the longest chain of match points (Hunt & Szymanski 1977), with M**2
+steps for M match points.  The chain is taken when M**2 is below the cell
+count, as for permutations (M = n) and for multipermutations with few copies
+of each letter; the budget then counts M**2 instead of cells.
 Witnesses follow the leftmost-greedy convention: among optimal alignments, the
 one whose flattened index sequence (i1, j1, i2, j2, ...) is lexicographically
 smallest.  A first-occurrence walk reads them off the table: each step tries
@@ -14,6 +19,7 @@ keeps mutable state.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
@@ -71,13 +77,61 @@ def lcs_len(a: Word, b: Word) -> int:
 
 
 def _check_budget(cells: int, budget_cells: int, what: str, *,
-                  length_only_helps: bool = False) -> None:
+                  length_only_helps: bool = False,
+                  unit: str = "alignment cells") -> None:
     if cells > budget_cells:
         hint = " or use length-only queries" if length_only_helps else ""
         raise BudgetError(
-            f"{what} needs {cells} alignment cells, over the budget of "
+            f"{what} needs {cells} {unit}, over the budget of "
             f"{budget_cells}; raise budget_cells{hint}"
         )
+
+
+def _length_cost(words: Sequence[Word]) -> tuple[int, bool]:
+    """Budget charge of a joint length query of three or more words, and
+    whether the match-point chain serves it: the chain's M**2 steps when
+    that is below the prod(len(w)+1) cells of the dense table."""
+    cells = prod(len(w) + 1 for w in words)
+    counts = [Counter(w.letters) for w in words]
+    points = sum(prod(cnt[c] for cnt in counts) for c in counts[0])
+    if points * points < cells:
+        return points * points, True
+    return cells, False
+
+
+def _chain_length(words: Sequence[Word]) -> int:
+    """Joint LCS of three or more words as the longest chain of match points.
+
+    A match point takes one position in each word, all carrying one
+    letter; a common subsequence is a chain of match points that grows
+    strictly in every coordinate.  The points are listed in order of their
+    position in the first word, so those with a smaller first coordinate
+    form a prefix, and the longest chain ending at each point is one array
+    step over that prefix: M steps of O(M) work.
+    """
+    first, *others = [w.letters for w in words]
+    where = []
+    for w in others:
+        at: dict[int, list[int]] = {}
+        for i, c in enumerate(w):
+            at.setdefault(c, []).append(i)
+        where.append(at)
+    tails: list[tuple[int, ...]] = []
+    starts: list[int] = []  # index of the first point sharing the position
+    for c in first:
+        group = list(product(*(at.get(c, ()) for at in where)))
+        starts += [len(tails)] * len(group)
+        tails += group
+    if not tails:
+        return 0
+    head, *rest = np.array(tails, dtype=np.int64).T.copy()
+    best = np.zeros(len(tails), dtype=np.int64)
+    for j, g in enumerate(starts):
+        below = head[:g] < head[j]
+        for row in rest:
+            below &= row[:g] < row[j]
+        best[j] = best[:g][below].max(initial=0) + 1
+    return int(best.max())
 
 
 def _suffix_table(words: Sequence[Word]) -> np.ndarray:
@@ -168,11 +222,16 @@ def lcs_reversible(a: Word, b: Word, *, witness: bool = False,
 
 def lcs_multi(words: Sequence[Word], *, witness: bool = True,
               budget_cells: int = DEFAULT_BUDGET_CELLS) -> LcsResult:
-    """Joint LCS of two or more words (full multi-dimensional alignment).
+    """Joint LCS of two or more words, with the leftmost-greedy witness
+    unless ``witness`` is False.
 
-    The alignment table has prod(len(w)+1) cells and must fit the cell
-    budget.  Two-word length-only queries build no table, so no budget
-    applies to them.
+    Two-word length-only queries use the bit-parallel row DP; they build
+    no table, so no budget applies to them.  Witnesses come from the dense
+    suffix table, whose prod(len(w)+1) cells must fit ``budget_cells``.
+    Length-only queries of three or more words take the cheaper of that
+    table and the match-point chain: the chain when the square of the
+    number M of match points is below the cell count, and then M**2 is
+    what must fit the budget.
     """
     words = list(words)
     if len(words) < 1:
@@ -189,9 +248,16 @@ def lcs_multi(words: Sequence[Word], *, witness: bool = True,
         if not witness:
             return LcsResult(0)
         return LcsResult(0, Word((), words[0].k), ((),) * len(words))
-    cells = prod(len(w) + 1 for w in words)
+    if witness:
+        cost, chain = prod(len(w) + 1 for w in words), False
+    else:
+        cost, chain = _length_cost(words)
+    if chain:
+        _check_budget(cost, budget_cells, f"{len(words)}-way match-point chain",
+                      unit="steps (match points squared)")
+        return LcsResult(_chain_length(words))
     # only a two-word witness has a length-only route that needs no table
-    _check_budget(cells, budget_cells, f"{len(words)}-way alignment",
+    _check_budget(cost, budget_cells, f"{len(words)}-way alignment",
                   length_only_helps=len(words) == 2)
     S = _suffix_table(words)
     length = int(S[(0,) * len(words)])
@@ -218,7 +284,11 @@ class SetLcsStats:
 
 def set_lcs_stats(words: Sequence[Word], t: int, *,
                   budget_cells: int = DEFAULT_BUDGET_CELLS) -> SetLcsStats:
-    """Pairwise LCS matrix and max joint LCS over subsets of size t."""
+    """Pairwise LCS matrix and max joint LCS over subsets of size t.
+
+    For t >= 3 the budget covers all subsets together, each charged what
+    the route ``lcs_multi`` picks for it costs.
+    """
     words = list(words)
     _require_common_alphabet(words)
     if not 1 <= t <= len(words):
@@ -241,10 +311,12 @@ def set_lcs_stats(words: Sequence[Word], t: int, *,
         spent = 0
         value, subset = -1, tuple(range(t))
         for combo in combinations(range(n), t):
-            cells = prod(len(words[i]) + 1 for i in combo)
-            spent += cells
-            _check_budget(spent, budget_cells, f"joint LCS over {t}-subsets")
-            got = lcs_multi([words[i] for i in combo], witness=False,
+            group = [words[i] for i in combo]
+            # each subset costs what the route lcs_multi picks for it
+            spent += _length_cost(group)[0]
+            _check_budget(spent, budget_cells, f"joint LCS over {t}-subsets",
+                          unit="cells and chain steps")
+            got = lcs_multi(group, witness=False,
                             budget_cells=budget_cells).length
             if got > value:
                 value, subset = got, combo

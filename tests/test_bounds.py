@@ -117,6 +117,14 @@ def test_zero_tolerance_searches_terminate():
         minmax_constant().value, abs=1e-9)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
+def test_bad_tolerance_is_rejected(tol):
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        alpha_threshold(4, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+        minmax_constant(tol=tol)
+
+
 # -- asymptotic forms ------------------------------------------------------------
 
 

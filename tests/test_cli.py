@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import doctest
+import inspect
 import json
 import re
 import shlex
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from twinlcs.cli import load_word, main
+from twinlcs.cli import _GLOBAL_DEFAULTS, build_parser, load_word, main
 from twinlcs.constructions import FAMILY_BUILDERS
+from twinlcs.experiments import ExperimentConfig, minimize_expected_lcs
 from twinlcs.lcs import DEFAULT_BUDGET_CELLS
 from twinlcs.twins import DEFAULT_NODE_BUDGET
 
@@ -299,6 +301,13 @@ def test_bound_threshold_zero_tolerance_terminates(capsys):
     assert "alpha: 0.493156880" in out
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_bound_threshold_non_finite_tolerance_exits_2(capsys, tol):
+    code, out, err = run(capsys, "bound", "threshold", "--k", "4", "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err == f"error: tol must be finite and nonnegative, got {tol}\n"
+
+
 def test_bound_theta(capsys):
     code, out, _ = run(capsys, "bound", "theta", "--alpha", "0.5", "--k", "2")
     assert code == 0
@@ -376,6 +385,20 @@ def test_experiment_json_config_has_four_keys(capsys, argv, trials):
     assert json.loads(out)["config"] == {
         "seed": 7, "trials": trials, "budget_nodes": DEFAULT_NODE_BUDGET,
         "budget_cells": DEFAULT_BUDGET_CELLS}
+
+
+def test_parser_defaults_come_from_their_sources():
+    config = ExperimentConfig()
+    assert dict(_GLOBAL_DEFAULTS) == {
+        "seed": config.seed, "budget_cells": config.budget_cells,
+        "budget_nodes": config.budget_nodes, "json": False, "out": None}
+    parser = build_parser()
+    tail = parser.parse_args(["experiment", "lt-tail", "--k", "2", "--n", "4",
+                              "--alpha", "0.5"])
+    assert tail.trials == config.trials
+    conjecture = parser.parse_args(["experiment", "conjecture", "--k", "2"])
+    assert conjecture.starts == inspect.signature(
+        minimize_expected_lcs).parameters["starts"].default
 
 
 def test_experiment_conjecture(capsys):

@@ -206,6 +206,15 @@ def test_tuplet_t2(kappa):
         assert value <= kappa
 
 
+def test_tuplet_t3_full_alphabet():
+    # 1024-letter permutations: each triple is a 1024-point chain, where
+    # the dense table would need 1025^3 cells
+    out = tuplet_family(3, 2)
+    report = check_family(out)
+    assert len(report) == 20
+    assert all(c.mode == "set" and value <= 2 for c, value, _ in report)
+
+
 def test_tuplet_budget_and_validation():
     with pytest.raises(BudgetError):
         tuplet_family(3, 4)  # 4^C(5,3) letters exceed the default cap

@@ -1,6 +1,5 @@
 """Experiments: RNG discipline, tail estimation, conjecture search, suites."""
 
-import csv
 import hashlib
 import itertools
 import json
@@ -31,7 +30,6 @@ from twinlcs import (
     threshold_pairs,
     verify_suite,
     wilson_interval,
-    write_csv,
     write_json,
     write_jsonl,
 )
@@ -376,16 +374,6 @@ def test_write_jsonl(tmp_path):
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert [d["a"] for d in lines] == [1, 2]
     assert all(d["schema_version"] == 1 for d in lines)
-
-
-def test_write_csv(tmp_path):
-    path = tmp_path / "out.csv"
-    write_csv(str(path), [{"a": 1, "b": 2}, {"a": 3, "b": 4}])
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert rows[0]["a"] == "1"
-    assert rows[0]["schema_version"] == "1"
-    assert len(rows) == 2
 
 
 def test_config_validation():

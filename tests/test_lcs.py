@@ -11,6 +11,7 @@ from oracles import brute_lcs, brute_lcs_multi, leftmost_greedy_lcs
 from twinlcs import (
     BudgetError,
     Word,
+    cube_quadruple,
     lcs_multi,
     lcs_pair,
     lcs_reversible,
@@ -18,6 +19,7 @@ from twinlcs import (
     set_lcs_stats,
     substream,
 )
+from twinlcs.lcs import _chain_length, _length_cost
 
 pairs = st.integers(2, 4).flatmap(
     lambda k: st.tuples(
@@ -159,6 +161,56 @@ def test_multi_witness_is_leftmost_greedy(ws):
     res = lcs_multi(ws)
     assert res.indices == leftmost_greedy_lcs([w.letters for w in ws])
     assert res.word.letters == tuple(ws[0][i] for i in res.indices[0])
+
+
+permutation_sets = st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.permutations(range(1, n + 1)), min_size=3,
+                       max_size=4)).map(
+    lambda ps: [Word(tuple(p), len(p)) for p in ps])
+
+
+@given(permutation_sets)
+def test_multi_length_of_permutations_takes_the_chain(ws):
+    # n match points against (n+1)^r cells: the chain always serves these
+    assert _length_cost(ws) == (len(ws[0]) ** 2, True)
+    res = lcs_multi(ws, witness=False)
+    assert res.length == brute_lcs_multi([w.letters for w in ws])
+
+
+small_multis = st.integers(1, 3).flatmap(
+    lambda k: st.lists(
+        st.lists(st.integers(1, k), max_size=6).map(lambda ls: Word(tuple(ls), k)),
+        min_size=3, max_size=4))
+
+
+@given(small_multis)
+def test_multi_length_both_routes_match_brute_force(ws):
+    expected = brute_lcs_multi([w.letters for w in ws])
+    assert lcs_multi(ws, witness=False).length == expected
+    assert _chain_length(ws) == expected  # whichever route the cost picks
+
+
+def test_length_route_follows_the_cost():
+    perm = Word(tuple(range(1, 41)), 40)
+    assert _length_cost([perm] * 3) == (1600, True)
+    ones = Word((1,) * 20, 2)
+    assert _length_cost([ones] * 3) == (21 ** 3, False)  # 8000 points
+    # the chain charges M^2 to the budget, in lcs_multi and per subset
+    assert lcs_multi([perm] * 3, witness=False, budget_cells=1600).length == 40
+    with pytest.raises(BudgetError, match="3-way match-point chain .*; "
+                                          "raise budget_cells$"):
+        lcs_multi([perm] * 3, witness=False, budget_cells=1599)
+    assert set_lcs_stats([perm] * 4, 3, budget_cells=4 * 1600).value == 40
+    with pytest.raises(BudgetError, match="raise budget_cells$"):
+        set_lcs_stats([perm] * 4, 3, budget_cells=4 * 1600 - 1)
+    # witnesses stay on the dense table and its cell count
+    with pytest.raises(BudgetError, match="3-way alignment needs 68921 "):
+        lcs_multi([perm] * 3, budget_cells=68920)
+
+
+def test_set_stats_cube_quadruple_past_the_dense_budget():
+    # four 1331-letter permutations: 2.4e9 dense cells, 1331^2 chain steps
+    assert set_lcs_stats(cube_quadruple(11).words, 3).value == 1
 
 
 def test_multi_witness():

@@ -1,0 +1,8 @@
+"""``python -m twinlcs``: the same command as the ``twinlcs`` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

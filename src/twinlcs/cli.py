@@ -282,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cap on LCS work: dense table cells, or "
                         "chain steps for joint lengths")
     common.add_argument("--budget-nodes", type=int, default=argparse.SUPPRESS,
-                        help="cap on twin search states")
+                        help="cap on twin search states, per searched "
+                        "word")
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS,
                         help="emit one JSON document")

@@ -102,7 +102,11 @@ def threshold_pairs(alpha: float, n: int) -> int:
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     value = alpha * n
-    nearest = round(value)
+    try:
+        nearest = round(value)
+    except (OverflowError, ValueError):  # an infinite or NaN float
+        raise ValueError(f"alpha * n must be finite, got alpha={alpha}, "
+                         f"n={n}") from None
     if abs(value - nearest) < 1e-9:
         return int(nearest)
     return math.ceil(value)
@@ -139,11 +143,12 @@ def estimate_lt_tail(k: int, n: int, alpha: float,
                      ) -> TailEstimate:
     """Probability that a uniform word has twins of length >= alpha * n.
 
-    Exhaustive (exact fraction, collapsed interval) when k^n is at most
-    EXHAUSTIVE_CAP (4096); Monte Carlo with a Wilson 95% interval
-    otherwise.  Each trial substream makes one twin search call for
-    exactly m pairs (twins of length m exist exactly when LT >= m), and
-    the node budget bounds that call.
+    Exhaustive (exact fraction, collapsed interval) over all k^n words
+    when k^n is at most EXHAUSTIVE_CAP (4096); Monte Carlo with a
+    Wilson 95% interval over seeded trial substreams otherwise.  Both
+    make one twin search call per word for exactly m pairs (twins of
+    length m exist exactly when LT >= m), the node budget bounds each
+    call, and both reject n > DEFAULT_EXACT_LENGTH unless m is 0.
     """
     config = config or ExperimentConfig()
     if k < 1:
@@ -154,19 +159,20 @@ def estimate_lt_tail(k: int, n: int, alpha: float,
     if m == 0:
         return TailEstimate(k, n, alpha, 0, 1.0, 1.0, 1.0, 0, 0, "exact",
                             Fraction(1), config)
+    if n > DEFAULT_EXACT_LENGTH:
+        raise ValueError(f"exact search supports length <= "
+                         f"{DEFAULT_EXACT_LENGTH}, got {n}")
     if k ** n <= EXHAUSTIVE_CAP:
         total = k ** n
         hits = 0
         for letters in itertools.product(range(1, k + 1), repeat=n):
-            if lt_oracle(Word(letters, k), max_length=n) >= m:
+            search = _TwinSearch(Word(letters, k), config.budget_nodes)
+            if search.find(0, (), m) is not None:
                 hits += 1
         frac = Fraction(hits, total)
         p = float(frac)
         return TailEstimate(k, n, alpha, m, p, p, p, total, hits,
                             "exhaustive", frac, config)
-    if n > DEFAULT_EXACT_LENGTH:
-        raise ValueError(f"exact search supports length <= "
-                         f"{DEFAULT_EXACT_LENGTH}, got {n}")
     hits = 0
     for trial in range(config.trials):
         word = sample_word(k, n, config.seed, index=trial)

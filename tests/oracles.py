@@ -105,12 +105,13 @@ def brute_twins(letters: Sequence[int]) -> int:
     n = len(letters)
     best = 0
     for roles in itertools.product((0, 1, 2), repeat=n):
-        ones = [letters[i] for i in range(n) if roles[i] == 1]
-        if len(ones) <= best:
+        size = roles.count(1)
+        if size <= best or roles.count(2) != size:
             continue
+        ones = [letters[i] for i in range(n) if roles[i] == 1]
         twos = [letters[i] for i in range(n) if roles[i] == 2]
-        if len(ones) == len(twos) and ones == twos:
-            best = len(ones)
+        if ones == twos:
+            best = size
     return best
 
 

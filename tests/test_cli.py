@@ -466,6 +466,23 @@ def test_readme_command_line_examples(capsys, argv, shown):
         assert printed == shown
 
 
+def test_python_m_twinlcs_prints_the_readme_block():
+    argv, shown = next(p.values for p in _readme_commands()
+                       if p.values[0][:2] == ["experiment", "lt-tail"])
+    proc = subprocess.run([sys.executable, "-m", "twinlcs", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == shown
+
+
+@pytest.mark.parametrize("alpha", ["inf", "1e308", "nan"])
+def test_lt_tail_non_finite_alpha_exits_2(capsys, alpha):
+    code, out, err = run(capsys, "experiment", "lt-tail", "--k", "2", "--n",
+                         "12", "--alpha", alpha)
+    assert code == 2 and out == ""
+    assert err.startswith("error: alpha * n must be finite")
+
+
 def test_conjecture_bad_input_exits_cleanly(capsys):
     code, out, err = run(capsys, "experiment", "conjecture", "--k", "7")
     assert code == 3 and out == ""

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_lcs, exchange_descent, expected_lcs_naive
+from oracles import (brute_lcs, exchange_descent, expected_lcs_naive,
+                     tail_counts)
 from twinlcs import (
     BudgetError,
     ExperimentConfig,
@@ -97,6 +98,23 @@ def test_threshold_pairs():
         threshold_pairs(-0.1, 4)
 
 
+@pytest.mark.parametrize("alpha", [math.inf, 1e308, math.nan])
+def test_threshold_pairs_rejects_non_finite_alpha_times_n(alpha):
+    with pytest.raises(ValueError, match="must be finite"):
+        threshold_pairs(alpha, 12)
+    with pytest.raises(ValueError, match="must be finite"):
+        estimate_lt_tail(2, 12, alpha)
+
+
+def test_threshold_pairs_above_one_half():
+    assert threshold_pairs(0.75, 12) == 9
+    assert threshold_pairs(3.0, 12) == 36
+    assert threshold_pairs(1e300, 1) == 1e300
+    assert threshold_pairs(10 ** 400, 3) == 3 * 10 ** 400  # exact, finite
+    est = estimate_lt_tail(2, 12, 0.75)
+    assert (est.pairs, est.successes, est.exact) == (9, 0, 0)
+
+
 # -- tail estimation --------------------------------------------------------------
 
 
@@ -153,6 +171,39 @@ def test_tail_monte_carlo_counts_words_reaching_the_threshold():
     assert 0 < est.successes == hits < 40
     with pytest.raises(ValueError, match="length <= 40"):
         estimate_lt_tail(3, 41, 0.45, config)
+
+
+_TAIL_ORACLE_CASES = [(k, n) for k in range(1, 5) for n in range(1, 14)
+                      if k ** n * 3 ** n <= 2 * 10 ** 6]
+
+
+@pytest.mark.parametrize("k, n", _TAIL_ORACLE_CASES)
+def test_tail_exhaustive_route_matches_brute_force_twins(k, n):
+    # every threshold, against a census of exact twin lengths that
+    # enumerates all 3^n role words of each word
+    counts = tail_counts(k, n)
+    for m in range(1, n // 2 + 2):
+        est = estimate_lt_tail(k, n, m / n)
+        hits = sum(c for length, c in counts.items() if length >= m)
+        assert (est.method, est.pairs) == ("exhaustive", m)
+        assert (est.successes, est.trials) == (hits, k ** n)
+        assert est.exact == Fraction(hits, k ** n)
+
+
+def test_tail_exhaustive_route_honours_the_node_budget():
+    with pytest.raises(BudgetError):
+        estimate_lt_tail(2, 6, 0.5, ExperimentConfig(budget_nodes=1))
+
+
+def test_tail_length_cap_applies_to_the_exhaustive_route():
+    # 1^n <= EXHAUSTIVE_CAP for every n, so k = 1 always enumerates; a
+    # small node budget shows that n = 40 takes one short search
+    est = estimate_lt_tail(1, 40, 0.5, ExperimentConfig(budget_nodes=200))
+    assert (est.method, est.pairs, est.trials, est.exact) == (
+        "exhaustive", 20, 1, 1)
+    with pytest.raises(ValueError, match="length <= 40"):
+        estimate_lt_tail(1, 41, 0.5)
+    assert estimate_lt_tail(1, 41, 0.0).exact == 1
 
 
 # -- permutation distributions ------------------------------------------------------

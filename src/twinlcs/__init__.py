@@ -14,11 +14,11 @@ from .bounds import (AsymptoticThreshold, LowerBoundValues, MinMaxConstant,
                      role_count, role_prob, role_prob_stats,
                      sharp_image_tables, strong_monotonicity_violation, theta,
                      union_bound)
-from .constructions import (Ceiling, FamilyOutput, FAMILY_BUILDERS, LexSpec,
+from .constructions import (Ceiling, FamilyOutput, FAMILY_BUILDERS,
                             check_family, ceiling_value, cube_quadruple,
-                            grid_pair, is_prime, lex_build,
-                            multiperm_quadruple, next_prime, quadratic_family,
-                            stratified_family, tuplet_family)
+                            grid_pair, is_prime, multiperm_quadruple,
+                            next_prime, quadratic_family, stratified_family,
+                            tuplet_family)
 from .errors import BudgetError, InvalidCertificateError
 from .experiments import (CheckResult, ExperimentConfig, MinimizeResult,
                           PermutationDistribution, SCHEMA_VERSION, SUITES,

@@ -93,8 +93,10 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
 
 
-def alpha_threshold(k: int, *, step: float = 1e-3,
-                    tol: float = 1e-9) -> Optional[ThresholdResult]:
+_SCAN_STEP = 1e-3
+
+
+def alpha_threshold(k: int, *, tol: float = 1e-9) -> Optional[ThresholdResult]:
     """Scan down from alpha = 1/2 for the rightmost sign change of theta
     on [1/k, 1/2] and bisect it.
 
@@ -108,10 +110,10 @@ def alpha_threshold(k: int, *, step: float = 1e-3,
         return None
     floor = 1.0 / k
     hi = 0.5
-    lo = hi - step
-    while lo > floor + step and theta(lo, k).value < 0:
+    lo = hi - _SCAN_STEP
+    while lo > floor + _SCAN_STEP and theta(lo, k).value < 0:
         hi = lo
-        lo -= step
+        lo -= _SCAN_STEP
     if theta(lo, k).value < 0:
         return None
     # theta(lo) >= 0 > theta(hi); bisect the crossing down to adjacent floats

@@ -21,7 +21,7 @@ from .bounds import (alpha_threshold, asymptotic_threshold,
                      lower_bound_values, minmax_constant, role_count,
                      role_prob, theta, union_bound)
 from .constructions import FAMILY_BUILDERS, check_family
-from .errors import BudgetError, InvalidCertificateError
+from .errors import BudgetError
 from .experiments import (SCHEMA_VERSION, SUITES, ExperimentConfig,
                           estimate_lt_tail, minimize_expected_lcs,
                           verify_suite)
@@ -432,16 +432,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not hasattr(args, dest):
             setattr(args, dest, value)
     try:
+        _config_from(args)  # rejects a bad seed or budget on every command
         return args.func(args)
-    except (ValueError, InvalidCertificateError) as exc:
+    except (ValueError, OSError) as exc:  # bad input, unusable file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

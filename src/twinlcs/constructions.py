@@ -1,11 +1,14 @@
 """Families of permutations and multipermutations with small mutual LCS.
 
-Every family is produced by one mechanism: write down, for each
-(letter, copy) pair, an integer key vector, and sort the pairs by key.
-Reading the letters in sorted order gives the word.  Negating every key
-reverses the word exactly, and deleting letters never increases any
-common-subsequence value, which is how restricted instances inherit
-their ceilings.
+All families but the stratified one come from one mechanism: give each
+(letter, copy) position an integer key vector and read the letters in
+increasing key order.  A builder takes the coordinates of its box from
+``np.indices``, numbers the letters by arithmetic on them, writes each
+key coordinate as one array, most significant first, and a single
+``np.lexsort`` orders every position; equal key vectors raise
+ValueError.  Negating every key reverses the word exactly, and deleting
+letters never increases any common-subsequence value, which is how
+instances restricted to their first k letters inherit their ceilings.
 
 Each builder returns a :class:`FamilyOutput` carrying the words plus
 the list of certified ceilings (pairwise LCS, LCS against a reversed
@@ -20,6 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import BudgetError
 from .lcs import DEFAULT_BUDGET_CELLS, lcs_len, lcs_multi
@@ -66,56 +71,27 @@ def next_prime(x: int) -> int:
     return cand
 
 
-# -- lexicographic builds ----------------------------------------------------
+# -- key-array builds --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LexSpec:
-    """A key table: one (letter, key vector) row per position of the word."""
+def _sorted_word(letters: np.ndarray, keys: Sequence[np.ndarray],
+                 k: int) -> Word:
+    """The letters up to k, read in increasing order of their key vectors.
 
-    rows: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def __post_init__(self):
-        rows = tuple((int(letter), tuple(int(c) for c in key))
-                     for letter, key in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if not rows:
-            return
-        arity = len(rows[0][1])
-        seen = set()
-        for letter, key in rows:
-            if letter < 1:
-                raise ValueError(f"letters start at 1, got {letter}")
-            if len(key) != arity:
-                raise ValueError("key vectors must share one arity")
-            if key in seen:
-                raise ValueError(f"key table is not injective at {key}")
-            seen.add(key)
-
-
-def lex_build(spec: LexSpec, k: Optional[int] = None) -> Word:
-    """The word read off the key table in sorted key order."""
-    letters = tuple(letter for _, letter in
-                    sorted((key, letter) for letter, key in spec.rows))
-    if k is None:
-        k = max(letters, default=1)
-    return Word(letters, k)
-
-
-def _rank(values: Sequence[int], radices: Sequence[int]) -> int:
-    """Mixed-radix letter index, first coordinate most significant."""
-    letter = 0
-    for v, r in zip(values, radices):
-        letter = letter * r + (v - 1)
-    return letter + 1
-
-
-def _compact(words: Sequence[Word]) -> tuple[Word, ...]:
-    """Relabel the letters actually used onto 1..m, order preserved."""
-    used = sorted(set().union(*[set(w.letters) for w in words]))
-    relabel = {c: i + 1 for i, c in enumerate(used)}
-    return tuple(Word(tuple(relabel[c] for c in w.letters), len(used))
-                 for w in words)
+    ``letters`` and every array of ``keys`` (one per key coordinate, most
+    significant first) hold one entry per position, in the same row-major
+    order.  Equal key vectors would leave the order open, so they raise
+    ValueError.
+    """
+    columns = [np.ravel(key) for key in keys]
+    order = np.lexsort(columns[::-1])
+    ranked = np.stack([column[order] for column in columns])
+    tied = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).all(axis=0))
+    if tied.size:
+        key = tuple(ranked[:, tied[0]].tolist())
+        raise ValueError(f"key table is not injective at {key}")
+    word = np.ravel(letters)[order]
+    return Word(tuple(word[word <= k].tolist()), k)
 
 
 # -- family outputs ----------------------------------------------------------
@@ -215,20 +191,15 @@ def quadratic_family(p: int, k: Optional[int] = None) -> FamilyOutput:
         k = cube
     if not 1 <= k <= cube:
         raise ValueError(f"k must lie in [1, {cube}], got {k}")
-    words = []
-    for i in range(p):
-        rows = []
-        for x, y, z in itertools.product(range(p), repeat=3):
-            letter = 1 + x * p * p + y * p + z
-            key = ((i * i * x + i * y + z) % p, (2 * i * x + y) % p, x)
-            rows.append((letter, key))
-        words.append(lex_build(LexSpec(tuple(rows)), k=cube))
-    if k < cube:
-        words = _compact([w.restrict(range(1, k + 1)) for w in words])
+    x, y, z = np.indices((p, p, p))
+    letters = 1 + np.arange(cube)
+    words = tuple(
+        _sorted_word(letters, ((i * i * x + i * y + z) % p,
+                               (2 * i * x + y) % p, x), k)
+        for i in range(p))
     ceilings = tuple(Ceiling((i, j), "lcs", 4 * p - 2)
                      for i, j in itertools.combinations(range(p), 2))
-    return FamilyOutput("quadratic", (("p", p), ("k", k)),
-                        tuple(words), ceilings)
+    return FamilyOutput("quadratic", (("p", p), ("k", k)), words, ceilings)
 
 
 _CUBE_SIGNS = ((1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1))
@@ -243,27 +214,14 @@ def cube_quadruple(n: int) -> FamilyOutput:
     """
     if n < 1:
         raise ValueError(f"side must be >= 1, got {n}")
-    words = []
-    for signs in _CUBE_SIGNS:
-        rows = []
-        for x, y, z in itertools.product(range(1, n + 1), repeat=3):
-            letter = _rank((x, y, z), (n, n, n))
-            key = (signs[0] * x, signs[1] * y, signs[2] * z)
-            rows.append((letter, key))
-        words.append(lex_build(LexSpec(tuple(rows)), k=n ** 3))
+    axes = np.indices((n, n, n))
+    letters = 1 + np.arange(n ** 3)
+    words = tuple(_sorted_word(letters, [sign * axis for sign, axis
+                                         in zip(signs, axes)], n ** 3)
+                  for signs in _CUBE_SIGNS)
     ceilings = tuple(Ceiling((i, j), "lcs", n)
                      for i, j in itertools.combinations(range(4), 2))
-    return FamilyOutput("cube", (("n", n),), tuple(words), ceilings)
-
-
-def _floor_sqrt_ratio(k: int, s: int) -> int:
-    """Largest t with t*t*s <= k."""
-    t = max(int(math.isqrt(max(k // s, 0))), 0)
-    while (t + 1) * (t + 1) * s <= k:
-        t += 1
-    while t * t * s > k:
-        t -= 1
-    return t
+    return FamilyOutput("cube", (("n", n),), words, ceilings)
 
 
 def grid_pair(k: Optional[int] = None, s: int = 1, *,
@@ -284,7 +242,7 @@ def grid_pair(k: Optional[int] = None, s: int = 1, *,
     if auto:
         if k is None or k < 1:
             raise ValueError("auto mode needs a positive letter count k")
-        k1 = _floor_sqrt_ratio(k, s) + 1
+        k1 = math.isqrt(k // s) + 1
         k2 = -(-k // k1)
     elif k1 is None or k2 is None:
         raise ValueError("give both k1 and k2, or neither")
@@ -292,18 +250,10 @@ def grid_pair(k: Optional[int] = None, s: int = 1, *,
         raise ValueError("grid sides must be >= 1")
     else:
         k = k1 * k2
-    rows_fwd = []
-    rows_bwd = []
-    for x in range(1, k1 + 1):
-        for y in range(1, k2 + 1):
-            letter = _rank((x, y), (k1, k2))
-            for r in range(1, s + 1):
-                rows_fwd.append((letter, (x, y, r)))
-                rows_bwd.append((letter, (x, r, -y)))
-    words = (lex_build(LexSpec(tuple(rows_fwd)), k=k1 * k2),
-             lex_build(LexSpec(tuple(rows_bwd)), k=k1 * k2))
-    if auto and k1 * k2 > k:
-        words = _compact([w.restrict(range(1, k + 1)) for w in words])
+    x, y, r = np.indices((k1, k2, s))
+    letters = 1 + x * k2 + y
+    words = (_sorted_word(letters, (x, y, r), k),
+             _sorted_word(letters, (x, r, -y), k))
     ceilings = (Ceiling((0, 1), "lcs", k1 * s),
                 Ceiling((0, 1), "rev", k2 + s - 1))
     return FamilyOutput("grid", (("k", k), ("s", s), ("k1", k1), ("k2", k2),
@@ -340,19 +290,10 @@ def multiperm_quadruple(s: int, k1: Optional[int] = None,
         raise ValueError("box sides must be >= 1")
     else:
         k = k1 * k2 * k3
-    rows = [[] for _ in range(4)]
-    for x in range(1, k1 + 1):
-        for y in range(1, k2 + 1):
-            for z in range(1, k3 + 1):
-                letter = _rank((x, y, z), (k1, k2, k3))
-                for r in range(1, s + 1):
-                    rows[0].append((letter, (x, y, z, r)))
-                    rows[1].append((letter, (-x, -y, r, z)))
-                    rows[2].append((letter, (-x, y, -z, r)))
-                    rows[3].append((letter, (x, -y, r, -z)))
-    words = tuple(lex_build(LexSpec(tuple(rs)), k=k1 * k2 * k3) for rs in rows)
-    if auto and k1 * k2 * k3 > k:
-        words = _compact([w.restrict(range(1, k + 1)) for w in words])
+    x, y, z, r = np.indices((k1, k2, k3, s))
+    letters = 1 + (x * k2 + y) * k3 + z
+    keys = ((x, y, z, r), (-x, -y, r, z), (-x, y, -z, r), (x, -y, r, -z))
+    words = tuple(_sorted_word(letters, key, k) for key in keys)
     ceilings = (Ceiling((0, 1), "lcs", k3 + s - 1),
                 Ceiling((2, 3), "lcs", k3 + s - 1),
                 Ceiling((0, 3), "lcs", k1 * s),
@@ -365,8 +306,10 @@ def multiperm_quadruple(s: int, k1: Optional[int] = None,
                          ("k3", k3), ("auto", auto)), words, ceilings)
 
 
-def tuplet_family(t: int, kappa: int, *,
-                  max_letters: int = 10 ** 6) -> FamilyOutput:
+_MAX_TUPLET_LETTERS = 10 ** 6
+
+
+def tuplet_family(t: int, kappa: int) -> FamilyOutput:
     """2t permutations such that every t of them have joint LCS <= kappa.
 
     One coordinate per t-subset I of {1..2t-1}, each running over
@@ -380,27 +323,22 @@ def tuplet_family(t: int, kappa: int, *,
     if kappa < 1:
         raise ValueError(f"coordinate range must be >= 1, got {kappa}")
     subsets = list(itertools.combinations(range(1, 2 * t), t))
-    letters = kappa ** len(subsets)
-    if letters > max_letters:
-        raise BudgetError(
-            f"family needs {letters} letters, over the cap {max_letters}")
-    radices = (kappa,) * len(subsets)
+    size = kappa ** len(subsets)
+    if size > _MAX_TUPLET_LETTERS:
+        raise BudgetError(f"family needs {size} letters, over the cap "
+                          f"{_MAX_TUPLET_LETTERS}")
+    axes = np.indices((kappa,) * len(subsets))
+    letters = 1 + np.arange(size)
     signs_per_word = [[-1] * len(subsets)]
     for i in range(1, 2 * t):
         signs_per_word.append([1 if i in I else -1 for I in subsets])
-    words = []
-    for signs in signs_per_word:
-        rows = []
-        for values in itertools.product(range(1, kappa + 1),
-                                        repeat=len(subsets)):
-            letter = _rank(values, radices)
-            key = tuple(sg * v for sg, v in zip(signs, values))
-            rows.append((letter, key))
-        words.append(lex_build(LexSpec(tuple(rows)), k=letters))
+    words = tuple(_sorted_word(letters, [sign * axis for sign, axis
+                                         in zip(signs, axes)], size)
+                  for signs in signs_per_word)
     ceilings = tuple(Ceiling(subset, "set", kappa)
                      for subset in itertools.combinations(range(2 * t), t))
     return FamilyOutput("tuplet", (("t", t), ("kappa", kappa)),
-                        tuple(words), ceilings)
+                        words, ceilings)
 
 
 def stratified_family(k: int, n: int, ms: Sequence[int]) -> FamilyOutput:

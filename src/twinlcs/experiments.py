@@ -216,7 +216,7 @@ def _lcs_table_cached(k: int) -> np.ndarray:
     return table
 
 
-def pairwise_lcs_table(k: int, *, max_k: int = MAX_TABLE_K) -> np.ndarray:
+def pairwise_lcs_table(k: int) -> np.ndarray:
     """Symmetric k! x k! table of LCS values between permutations of [k]
     in lexicographic order.  Capped: the table is quadratic in k!.
 
@@ -229,10 +229,10 @@ def pairwise_lcs_table(k: int, *, max_k: int = MAX_TABLE_K) -> np.ndarray:
     """
     if k < 1:
         raise ValueError(f"alphabet size must be >= 1, got {k}")
-    if k > max_k:
+    if k > MAX_TABLE_K:
         raise BudgetError(
             f"pairwise LCS table needs {math.factorial(k)}^2 entries; "
-            f"cap is k <= {max_k}")
+            f"cap is k <= {MAX_TABLE_K}")
     return _lcs_table_cached(k)
 
 
@@ -288,12 +288,11 @@ class PermutationDistribution:
                             for w in self.weights]}
 
 
-def expected_lcs(dist: PermutationDistribution,
-                 *, max_k: int = MAX_TABLE_K) -> Union[Fraction, float]:
+def expected_lcs(dist: PermutationDistribution) -> Union[Fraction, float]:
     """E[LCS(pi, pi')] for two independent draws from the distribution,
     as the exact quadratic form over the pairwise table.  Returns a
     Fraction for rational weights, a float otherwise."""
-    table = pairwise_lcs_table(dist.k, max_k=max_k)
+    table = pairwise_lcs_table(dist.k)
     if dist.exact:
         # integer numerators over the common denominator D:
         # E = sum_ij n_i n_j T[i, j] / D^2

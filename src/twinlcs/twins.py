@@ -632,40 +632,38 @@ def twins_via_blocks(word: Word) -> BlockTwinsResult:
     return BlockTwinsResult(cert, tuple(values), (k / 3) ** (1.0 / 3.0))
 
 
-def random_monotone_certificate(word: Word, rng: np.random.Generator, *,
-                                require_pairs: bool = True,
-                                max_tries: int = 64) -> TwinCertificate:
+_MONOTONE_TRIES = 64
+
+
+def random_monotone_certificate(word: Word,
+                                rng: np.random.Generator) -> TwinCertificate:
     """Sample a monotone certificate by a feasibility-guarded role walk.
 
     At each position one of the roles 0, 1, 2 is drawn uniformly among
     those after which the owed letters still fit into the remainder of
-    the word, so the walk never dead-ends.  With ``require_pairs`` the
-    walk retries until at least one pair lands.
+    the word, so the walk never dead-ends.  The walk retries until at
+    least one pair lands.
     """
     n = len(word)
     search = _TwinSearch(word)  # reused for its next-occurrence table
-
-    def feasible(debt: Roles, pos: int) -> bool:
-        return search._clears(pos, debt)
-
-    for _ in range(max_tries):
+    for _ in range(_MONOTONE_TRIES):
         debt: Roles = ()
         roles = []
         pairs = 0
         for pos in range(n):
             c = word[pos]
             options = []
-            if feasible(debt, pos + 1):
+            if search._clears(pos + 1, debt):
                 options.append((0, debt))
-            if feasible(debt + (c,), pos + 1):
+            if search._clears(pos + 1, debt + (c,)):
                 options.append((1, debt + (c,)))
-            if debt and debt[0] == c and feasible(debt[1:], pos + 1):
+            if debt and debt[0] == c and search._clears(pos + 1, debt[1:]):
                 options.append((2, debt[1:]))
             role, debt = options[int(rng.integers(len(options)))]
             if role == 1:
                 pairs += 1
             roles.append(role)
-        if pairs or not require_pairs:
+        if pairs:
             return extract(word, tuple(roles))
     raise ValueError("no certificate with pairs found; word may lack"
                      " repeated letters")

@@ -17,6 +17,15 @@ from typing import Optional, Sequence
 getcontext().prec = 60
 
 
+# -- key-sorted words ----------------------------------------------------------
+
+
+def key_sorted_letters(letters: Sequence[int],
+                       keys: Sequence[tuple[int, ...]]) -> list[int]:
+    """The letters in increasing order of their key tuples (Python's sort)."""
+    return [letter for _, letter in sorted(zip(keys, letters))]
+
+
 # -- longest common subsequence ----------------------------------------------
 
 

@@ -74,6 +74,25 @@ def test_missing_word_file(capsys):
     assert "error" in err.lower()
 
 
+@pytest.mark.parametrize("argv", [
+    ("lcs", "@{dir}", "12"),
+    ("lcs", "12", "12", "--out", "{dir}"),
+])
+def test_directory_as_file_exits_2(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Is a directory" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("twins", "0110", "--budget-nodes", "-5"),
+    ("lcs", "12", "21", "--budget-cells", "0"),
+])
+def test_non_positive_budget_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: budgets must be positive\n")
+
+
 def test_bad_word_literal(capsys):
     code, _, err = run(capsys, "lcs", "1,2", "12")
     assert code == 2

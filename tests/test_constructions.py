@@ -1,11 +1,15 @@
 """Low-LCS families: verified ceilings, frozen values, input validation."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import brute_lcs, brute_lcs_multi
+from oracles import brute_lcs, brute_lcs_multi, key_sorted_letters
 from twinlcs import (
     BudgetError,
     FAMILY_BUILDERS,
@@ -23,6 +27,7 @@ from twinlcs import (
     stratified_family,
     tuplet_family,
 )
+from twinlcs.constructions import _sorted_word
 
 
 def assert_all_hold(out, **kwargs):
@@ -308,3 +313,52 @@ def test_param_lookup():
     assert out.param("n") == 2
     with pytest.raises(KeyError):
         out.param("missing")
+
+
+# -- key-array builds ------------------------------------------------------------
+
+# sha256 of the words' text forms, one per line: each family's words
+# are fixed letter for letter, whatever sorts their key tables
+WORD_DIGESTS = [
+    pytest.param(lambda: quadratic_family(13), "fb2c44f1eb23f6cfad6ffa0ea6"
+                 "68a0d2c1c434d4a90627a29134422d9059631a", id="quadratic-13"),
+    pytest.param(lambda: quadratic_family(7, 100), "09c420abab7eb6c22f25e073"
+                 "473d8dbd74ed5c89b08dfd6229c9604ea5ca6bf2",
+                 id="quadratic-7-k100"),
+    pytest.param(lambda: cube_quadruple(11), "cb510a7d266e6e527dd696d45549"
+                 "6c34ee1c2976bf549ee1076a2bb1992e65c6", id="cube-11"),
+    pytest.param(lambda: grid_pair(1000, 3), "88a536a014ad9244abe35aa72d7d"
+                 "be570b307b429bcd066f8357b5646c902a0e", id="grid-k1000-s3"),
+    pytest.param(lambda: multiperm_quadruple(2, k=1000), "a544a0f01dbc9d44"
+                 "534cff342c4886e8a9cd88a1a5bdbde7d7eaf1db010bdcf3",
+                 id="multiperm-s2-k1000"),
+    pytest.param(lambda: tuplet_family(3, 2), "fa6c18657a26f66a5c9557a3dbef"
+                 "ba73042ef5189574a42ee7a064b5d632f722", id="tuplet-3-2"),
+]
+
+
+@pytest.mark.parametrize("build, digest", WORD_DIGESTS)
+def test_pinned_word_digests(build, digest):
+    text = "\n".join(w.to_text() for w in build().words)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+key_tables = st.integers(1, 3).flatmap(lambda arity: st.lists(
+    st.tuples(*[st.integers(-3, 3)] * arity), min_size=1, max_size=30,
+    unique=True))
+
+
+@given(key_tables, st.data())
+def test_sorted_word_matches_tuple_sort(keys, data):
+    letters = data.draw(st.permutations(range(1, len(keys) + 1)))
+    k = data.draw(st.integers(1, len(keys)))
+    word = _sorted_word(np.array(letters), np.array(keys).T, k)
+    expected = [c for c in key_sorted_letters(letters, keys) if c <= k]
+    assert word == Word(tuple(expected), k)
+
+
+def test_repeated_key_raises():
+    letters = np.array([1, 2, 3])
+    keys = (np.array([1, 0, 1]), np.array([7, 5, 7]))
+    with pytest.raises(ValueError, match=r"not injective at \(1, 7\)"):
+        _sorted_word(letters, keys, 3)

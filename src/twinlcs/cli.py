@@ -279,7 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="master seed for randomized work "
                         f"(default {ExperimentConfig.seed})")
     common.add_argument("--budget-cells", type=int, default=argparse.SUPPRESS,
-                        help="cap on LCS work: dense table cells, or "
+                        help="cap on LCS work: a pair witness keeps m+1 "
+                        "bit rows and is charged (n+1)(m+1) cells; three "
+                        "or more words are charged dense table cells, or "
                         "chain steps for joint lengths")
     common.add_argument("--budget-nodes", type=int, default=argparse.SUPPRESS,
                         help="cap on twin search states, per searched "

@@ -1,29 +1,32 @@
 """Longest common subsequences: pairs, reversals, and joint LCS of word sets.
 
-``lcs_multi`` serves two or more words, and ``lcs_pair`` calls it.  Two-word
-lengths use a bit-parallel row DP (big-int rows, one pass per letter of the
-second word) and build no table.  Witnesses come from one dense suffix table
-whatever the number of words.  Joint lengths of three or more words take one
-of two routes, whichever costs less: the dense table, with prod(len(w)+1)
-cells, or the longest chain of match points (Hunt & Szymanski 1977), with M**2
-steps for M match points.  The chain is taken when M**2 is below the cell
-count, as for permutations (M = n) and for multipermutations with few copies
-of each letter; the budget then counts M**2 instead of cells.
+``lcs_multi`` serves two or more words, and ``lcs_pair`` calls it.  Two words
+take a bit-parallel row DP (big-int rows, one pass per letter of the second
+word) for lengths and witnesses alike: a length keeps the last row only, a
+witness runs the DP over the reversed words and keeps all len(b)+1 rows, from
+which any suffix value LCS(a[i:], b[j:]) is one masked popcount.  Three or
+more words take one of two routes for a length, whichever costs less: the
+dense suffix table, with prod(len(w)+1) cells, or the longest chain of match
+points (Hunt & Szymanski 1977), with M**2 steps for M match points.  The chain
+is taken when M**2 is below the cell count, as for permutations (M = n) and
+for multipermutations with few copies of each letter; the budget then counts
+M**2 instead of cells.  Their witnesses come from the dense table.
 Witnesses follow the leftmost-greedy convention: among optimal alignments, the
 one whose flattened index sequence (i1, j1, i2, j2, ...) is lexicographically
-smallest.  A first-occurrence walk reads them off the table: each step tries
-the first word's positions in order, each matched to the next occurrence of
-its letter in every other word.  All results are deterministic; nothing here
-keeps mutable state.
+smallest.  One first-occurrence walk reads them off the suffix values, from
+bit rows or the table: each step tries the first word's positions in order,
+each matched to the next occurrence of its letter in every other word.  All
+results are deterministic; nothing here keeps mutable state.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import prod
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -59,21 +62,46 @@ def _require_common_alphabet(words: Sequence[Word]) -> None:
         raise ValueError("all words must share one alphabet")
 
 
+def _row_dp(x: Sequence[int], y: Sequence[int],
+            rows: Optional[list[int]] = None) -> int:
+    """Bit-parallel LCS row DP of x against y; returns the last row.
+
+    After the first j letters of y, bit i of the row is set when
+    LCS(x[:i+1], y[:j]) exceeds LCS(x[:i], y[:j]), so the popcount of the
+    low i bits is LCS(x[:i], y[:j]).  Each row after the first is appended
+    to ``rows`` when it is given.
+    """
+    masks: dict[int, int] = {}
+    for i, c in enumerate(x):
+        masks[c] = masks.get(c, 0) | (1 << i)
+    full = (1 << len(x)) - 1
+    row = 0
+    for c in y:
+        u = row | masks.get(c, 0)
+        row = u & ~((u - ((row << 1) | 1)) & full)
+        if rows is not None:
+            rows.append(row)
+    return row
+
+
 def lcs_len(a: Word, b: Word) -> int:
     """LCS length of two words over a common alphabet (bit-parallel row DP)."""
     _require_common_alphabet((a, b))
+    return _row_dp(a.letters, b.letters).bit_count()
+
+
+def _pair_suffix(a: Word, b: Word) -> Callable[[tuple[int, ...]], int]:
+    """Suffix values LCS(a[i:], b[j:]) of a pair, looked up at (i, j).
+
+    The row DP runs over the reversed words and keeps its len(b)+1 rows of
+    len(a) bits.  Reordered so that rows[j] belongs to b[j:], the low
+    len(a)-i bits of rows[j] cover a[i:], and their popcount is the value.
+    """
     n = len(a)
-    if n == 0 or len(b) == 0:
-        return 0
-    masks: dict[int, int] = {}
-    for i, c in enumerate(a.letters):
-        masks[c] = masks.get(c, 0) | (1 << i)
-    full = (1 << n) - 1
-    row = 0
-    for c in b.letters:
-        u = row | masks.get(c, 0)
-        row = u & ~((u - ((row << 1) | 1)) & full)
-    return row.bit_count()
+    rows = [0]
+    _row_dp(a.letters[::-1], b.letters[::-1], rows)
+    rows.reverse()
+    return lambda v: (rows[v[1]] & ((1 << (n - v[0])) - 1)).bit_count()
 
 
 def _check_budget(cells: int, budget_cells: int, what: str, *,
@@ -85,6 +113,14 @@ def _check_budget(cells: int, budget_cells: int, what: str, *,
             f"{what} needs {cells} {unit}, over the budget of "
             f"{budget_cells}; raise budget_cells{hint}"
         )
+
+
+def _positions(word: Word) -> dict[int, list[int]]:
+    """Increasing positions of each letter in the word."""
+    at: dict[int, list[int]] = {}
+    for i, c in enumerate(word.letters):
+        at.setdefault(c, []).append(i)
+    return at
 
 
 def _length_cost(words: Sequence[Word]) -> tuple[int, bool]:
@@ -109,13 +145,8 @@ def _chain_length(words: Sequence[Word]) -> int:
     form a prefix, and the longest chain ending at each point is one array
     step over that prefix: M steps of O(M) work.
     """
-    first, *others = [w.letters for w in words]
-    where = []
-    for w in others:
-        at: dict[int, list[int]] = {}
-        for i, c in enumerate(w):
-            at.setdefault(c, []).append(i)
-        where.append(at)
+    first = words[0].letters
+    where = [_positions(w) for w in words[1:]]
     tails: list[tuple[int, ...]] = []
     starts: list[int] = []  # index of the first point sharing the position
     for c in first:
@@ -136,7 +167,7 @@ def _chain_length(words: Sequence[Word]) -> int:
 
 def _suffix_table(words: Sequence[Word]) -> np.ndarray:
     """Full suffix table S[v] = joint LCS of the suffixes starting at v,
-    for two or more words."""
+    for three or more words."""
     *heads, last = [w.letters for w in words]
     last_v = np.asarray(last, dtype=np.int64)
     S = np.zeros([len(w) + 1 for w in words], dtype=np.int32)
@@ -153,31 +184,38 @@ def _suffix_table(words: Sequence[Word]) -> np.ndarray:
     return S
 
 
-def _walk_witness(words: Sequence[Word], S: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Leftmost-greedy alignment read off a suffix table.
+def _walk_witness(words: Sequence[Word], value: Callable[[tuple[int, ...]], int]
+                  ) -> tuple[tuple[int, ...], ...]:
+    """Leftmost-greedy alignment read off suffix values.
 
-    Each step takes the smallest position p of the first word whose
-    letter still has an optimal continuation.  For a fixed p the next
-    occurrence of that letter in every other word gives the
-    componentwise-smallest matching tuple, which has the largest S
-    because S is non-increasing in every coordinate; so only that tuple
-    is tested, and when it passes it is the lexicographic minimum.
+    ``value(v)`` is the joint LCS of the suffixes starting at the index
+    tuple v.  Each step takes the smallest position p of the first word
+    whose letter still has an optimal continuation.  For a fixed p the
+    next occurrence of that letter in every other word, found by bisection
+    in its position list, gives the componentwise-smallest matching tuple,
+    which has the largest value because suffix values are non-increasing
+    in every coordinate; so only that tuple is tested, and when it passes
+    it is the lexicographic minimum.
     """
-    first, others = words[0].letters, [w.letters for w in words[1:]]
+    first = words[0].letters
+    where = [_positions(w) for w in words[1:]]
     v = (0,) * len(words)
-    t = int(S[v])
+    t = value(v)
     picks: list[tuple[int, ...]] = []
     while t > 0:
         t -= 1
         for p in range(v[0], len(first)):
-            try:
-                u = (p,) + tuple(w.index(first[p], s)
-                                 for w, s in zip(others, v[1:]))
-            except ValueError:  # the letter does not occur again somewhere
-                continue
-            if S[tuple(x + 1 for x in u)] >= t:
-                break
-        else:  # cannot happen for a correct table
+            u = (p,)
+            for at, s in zip(where, v[1:]):
+                hits = at.get(first[p], ())
+                h = bisect_left(hits, s)
+                if h == len(hits):  # the letter does not occur again here
+                    break
+                u += (hits[h],)
+            else:
+                if value(tuple(x + 1 for x in u)) >= t:
+                    break
+        else:  # cannot happen for correct suffix values
             raise AssertionError("witness walk lost the optimum")
         picks.append(u)
         v = tuple(x + 1 for x in u)
@@ -186,7 +224,12 @@ def _walk_witness(words: Sequence[Word], S: np.ndarray) -> tuple[tuple[int, ...]
 
 def lcs_pair(a: Word, b: Word, *, witness: bool = True,
              budget_cells: int = DEFAULT_BUDGET_CELLS) -> LcsResult:
-    """LCS of two words; with ``witness`` the leftmost-greedy alignment."""
+    """LCS of two words; with ``witness`` the leftmost-greedy alignment.
+
+    A length needs one bit row and no budget.  A witness keeps len(b)+1 bit
+    rows of len(a) bits and is charged (len(a)+1)(len(b)+1) cells against
+    ``budget_cells``.
+    """
     return lcs_multi((a, b), witness=witness, budget_cells=budget_cells)
 
 
@@ -225,13 +268,14 @@ def lcs_multi(words: Sequence[Word], *, witness: bool = True,
     """Joint LCS of two or more words, with the leftmost-greedy witness
     unless ``witness`` is False.
 
-    Two-word length-only queries use the bit-parallel row DP; they build
-    no table, so no budget applies to them.  Witnesses come from the dense
-    suffix table, whose prod(len(w)+1) cells must fit ``budget_cells``.
-    Length-only queries of three or more words take the cheaper of that
-    table and the match-point chain: the chain when the square of the
-    number M of match points is below the cell count, and then M**2 is
-    what must fit the budget.
+    Two words take the bit-parallel row DP.  A length keeps one row, so no
+    budget applies to it.  A witness keeps len(b)+1 rows of len(a) bits and
+    is still charged the (len(a)+1)(len(b)+1) cells of the suffix values it
+    reads, which must fit ``budget_cells``.  Three or more words take the
+    dense suffix table, whose prod(len(w)+1) cells must fit the budget;
+    length-only queries take the cheaper of that table and the match-point
+    chain: the chain when the square of the number M of match points is
+    below the cell count, and then M**2 is what must fit the budget.
     """
     words = list(words)
     if len(words) < 1:
@@ -256,16 +300,18 @@ def lcs_multi(words: Sequence[Word], *, witness: bool = True,
         _check_budget(cost, budget_cells, f"{len(words)}-way match-point chain",
                       unit="steps (match points squared)")
         return LcsResult(_chain_length(words))
-    # only a two-word witness has a length-only route that needs no table
+    # only a two-word witness has a length-only route with no budget
     _check_budget(cost, budget_cells, f"{len(words)}-way alignment",
                   length_only_helps=len(words) == 2)
-    S = _suffix_table(words)
-    length = int(S[(0,) * len(words)])
-    if not witness:
-        return LcsResult(length)
-    indices = _walk_witness(words, S)
+    if len(words) == 2:
+        value = _pair_suffix(words[0], words[1])
+    else:
+        value = _suffix_table(words).item
+        if not witness:
+            return LcsResult(value((0,) * len(words)))
+    indices = _walk_witness(words, value)
     common = Word(tuple(words[0][i] for i in indices[0]), words[0].k)
-    return LcsResult(length, common, indices)
+    return LcsResult(len(indices[0]), common, indices)
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,12 @@ class Word:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"alphabet size must be >= 1, got {self.k}")
-        letters = tuple(int(a) for a in self.letters)
+        letters = tuple(map(int, self.letters))
         object.__setattr__(self, "letters", letters)
-        for a in letters:
-            if not 1 <= a <= self.k:
-                raise ValueError(f"letter {a} outside alphabet [1, {self.k}]")
+        if letters and not 1 <= min(letters) <= max(letters) <= self.k:
+            # name the first letter out of range
+            bad = next(a for a in letters if not 1 <= a <= self.k)
+            raise ValueError(f"letter {bad} outside alphabet [1, {self.k}]")
 
     def __len__(self) -> int:
         return len(self.letters)

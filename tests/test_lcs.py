@@ -1,7 +1,9 @@
 """LCS engine: pair, reversible, multi-way, set statistics, budgets."""
 
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -12,6 +14,8 @@ from twinlcs import (
     BudgetError,
     Word,
     cube_quadruple,
+    grid_pair,
+    lcs_len,
     lcs_multi,
     lcs_pair,
     lcs_reversible,
@@ -85,6 +89,45 @@ def test_pair_length_ignores_cell_budget():
 def test_pair_witness_is_leftmost_greedy(ab):
     a, b = ab
     assert lcs_pair(a, b).indices == leftmost_greedy_lcs((a.letters, b.letters))
+
+
+def all_words(k, max_len):
+    return [Word(letters, k) for n in range(max_len + 1)
+            for letters in itertools.product(range(1, k + 1), repeat=n)]
+
+
+@pytest.mark.parametrize("k, max_len", [(2, 6), (3, 4)])
+def test_pair_witness_is_leftmost_greedy_exhaustively(k, max_len):
+    words = all_words(k, max_len)
+    for a, b in itertools.product(words, repeat=2):
+        res = lcs_pair(a, b)
+        assert res.indices == leftmost_greedy_lcs((a.letters, b.letters)), (a, b)
+        assert res.word.letters == tuple(a[i] for i in res.indices[0])
+
+
+GRID_WITNESS_SHA256 = \
+    "be43dbeb7f35f2f3b3e7cf1dbd47108b1d8495509eacb07966eb38784d2fdbfe"
+
+
+def test_long_pair_witness_is_pinned():
+    a, b = grid_pair(1000, 3).words  # two 3000-letter words
+    res = lcs_pair(a, b)
+    assert res.length == lcs_len(a, b) == 57
+    assert_witness_consistent(a, b, res)
+    digest = hashlib.sha256(repr(res.indices).encode()).hexdigest()
+    assert digest == GRID_WITNESS_SHA256
+
+
+def test_long_pair_witness_builds_no_dense_table():
+    # the bit rows take about 1 MiB; the dense int32 table took 34 MiB
+    a, b = grid_pair(1000, 3).words
+    tracemalloc.start()
+    try:
+        lcs_pair(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 @given(pairs)

@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -37,6 +38,22 @@ def test_word_validates_alphabet():
     with pytest.raises(ValueError):
         Word((), 0)
     assert len(Word((), 1)) == 0
+
+
+def test_word_names_its_first_bad_letter():
+    # the range check is on min and max, but the message names the first
+    # letter out of range, here 5 and not the smaller 0 after it
+    with pytest.raises(ValueError, match=r"^letter 5 outside alphabet \[1, 3\]$"):
+        Word((1, 5, 2, 0), 3)
+    with pytest.raises(ValueError, match=r"^letter 0 outside alphabet \[1, 3\]$"):
+        Word((0, 2, 7), 3)
+
+
+def test_word_accepts_numpy_letters():
+    w = Word(np.array([3, 1, 2], dtype=np.int16), 3)
+    assert w.letters == (3, 1, 2)
+    assert all(type(a) is int for a in w.letters)
+    assert Word((np.int64(2), np.uint8(1)), 2) == Word((2, 1), 2)
 
 
 def test_word_basic_ops():

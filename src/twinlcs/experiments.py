@@ -24,8 +24,8 @@ import numpy as np
 from .errors import BudgetError
 from .lcs import DEFAULT_BUDGET_CELLS
 from .twins import (DEFAULT_EXACT_LENGTH, DEFAULT_NODE_BUDGET, _TwinSearch,
-                    find_regularity_violation, is_monotone, is_twin_roles,
-                    lt_exact, lt_oracle, random_monotone_certificate,
+                    _oracle_lengths, find_regularity_violation, is_monotone,
+                    is_twin_roles, lt_exact, random_monotone_certificate,
                     regularize, role_stats, run_count, twins_via_blocks,
                     twins_via_runs)
 from .words import Word
@@ -581,9 +581,8 @@ def _suite_roles(config: ExperimentConfig) -> list[CheckResult]:
 
     def union_bound_sound() -> str:
         n = 10
-        tail = Counter()
-        for letters in itertools.product((1, 2), repeat=n):
-            tail[lt_oracle(Word(letters, 2))] += 1
+        words = np.array(list(itertools.product((1, 2), repeat=n)))
+        tail = Counter(_oracle_lengths(words, 2).tolist())
         total = 2 ** n
         for m in range(n // 2 + 1):
             exact = Fraction(sum(v for lt, v in tail.items() if lt >= m),
@@ -603,19 +602,21 @@ def _suite_twins_oracle(config: ExperimentConfig) -> list[CheckResult]:
     def exhaustive_binary() -> str:
         count = 0
         for n in range(1, 11):
-            for letters in itertools.product((1, 2), repeat=n):
+            batch = list(itertools.product((1, 2), repeat=n))
+            oracles = _oracle_lengths(np.array(batch), 2).tolist()
+            for letters, oracle in zip(batch, oracles):
                 word = Word(letters, 2)
                 exact = lt_exact(word).length
-                oracle = lt_oracle(word)
                 assert exact == oracle, (word.to_compact(), exact, oracle)
                 count += 1
         return f"{count} binary words agree"
 
     def random_ternary() -> str:
-        for index in range(150):
-            word = sample_word(3, 9, config.seed, index=index)
+        words = [sample_word(3, 9, config.seed, index=index)
+                 for index in range(150)]
+        oracles = _oracle_lengths(np.array([w.letters for w in words]), 3)
+        for word, oracle in zip(words, oracles.tolist()):
             exact = lt_exact(word).length
-            oracle = lt_oracle(word)
             assert exact == oracle, (word.to_compact(), exact, oracle)
         return "150 random ternary words agree"
 

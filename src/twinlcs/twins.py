@@ -11,7 +11,10 @@ of pairs.  ``minimal_certificate`` asks it once; ``lt_exact`` asks for
 0, 1, 2, ... pairs and returns the last role word found.  ``lt_oracle``
 recomputes the value by brute enumeration of role words and exists
 purely as an independent cross-check; it shares no logic with the
-search.
+search.  It enumerates a monotone role word with m pairs as a choice of
+its 2m marked positions times a ballot word of m 1s and m 2s on them,
+as arrays, and ``_oracle_lengths`` checks a whole batch of words of one
+length in one pass.
 
 A role word is *monotone* when every prefix contains at least as many
 1s as 2s (equivalently: the i-th marked position of the first
@@ -23,6 +26,8 @@ attention to monotone role words never changes the value.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -30,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetError, InvalidCertificateError
-from .lcs import lcs_len, lcs_pair
+from .lcs import DEFAULT_BUDGET_CELLS, lcs_len, lcs_pair
 from .words import Word
 
 Roles = tuple[int, ...]
@@ -399,63 +404,122 @@ def regularize(cert: TwinCertificate, *,
 # -- independent oracle ------------------------------------------------------
 
 
+# Letters compared in one array step of the oracle; the temporaries of a
+# step stay near 1 MiB whatever the batch or table size.
+_CHUNK_LETTERS = 1 << 20
+
+
+@lru_cache(maxsize=None)
+def _ballot_slots(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slots of the 1s and of the 2s in every ballot word of m 1s and m 2s.
+
+    Returns arrays of shape (Catalan(m), m).  The i-th 1 (from 0) of a
+    ballot word sits at a slot <= 2i, so the rows grow one 1 at a time,
+    each extended by every slot after its last 1 up to that limit: only
+    ballot prefixes are ever visited.  The 2s fill the remaining slots.
+    """
+    ones = np.zeros((1, 1), dtype=np.int8)
+    for i in range(1, m):
+        last = ones[:, -1].astype(np.intp)
+        fan = 2 * i - last
+        start = np.repeat(np.cumsum(fan) - fan, fan)
+        new = np.repeat(last + 1, fan) + np.arange(start.size) - start
+        ones = np.column_stack([np.repeat(ones, fan, axis=0),
+                                new.astype(np.int8)])
+    free = np.ones((len(ones), 2 * m), dtype=bool)
+    np.put_along_axis(free, ones.astype(np.intp), False, axis=1)
+    twos = np.nonzero(free)[1].astype(np.int8).reshape(len(ones), m)
+    return ones, twos
+
+
 @lru_cache(maxsize=None)
 def _ballot_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index tables of every monotone role word of length n with m pairs.
+    """Index tables of every monotone role word of length n with m >= 1 pairs.
 
     Returns arrays (ones, twos) of shape (count, m): row r lists the
-    role-1 and role-2 positions of the r-th role word.
+    role-1 and role-2 positions of the r-th role word.  A role word is a
+    choice of its 2m marked positions times a ballot word on them, so
+    the tables are the C(n, 2m) position choices indexed by the
+    Catalan(m) ballot slots.  Their entries are charged against
+    ``DEFAULT_BUDGET_CELLS`` before anything is built.
     """
-    ones_rows: list[tuple[int, ...]] = []
-    twos_rows: list[tuple[int, ...]] = []
-    ones: list[int] = []
-    twos: list[int] = []
+    marked = math.comb(n, 2 * m)
+    entries = marked * (math.comb(2 * m, m) // (m + 1)) * 2 * m
+    if entries > DEFAULT_BUDGET_CELLS:
+        raise BudgetError(
+            f"twin oracle at n={n}, m={m} needs {entries} role-table "
+            f"entries, over the budget of {DEFAULT_BUDGET_CELLS}; "
+            f"use the exact search")
+    positions = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n), 2 * m)),
+        dtype=np.min_scalar_type(n), count=marked * 2 * m
+    ).reshape(marked, 2 * m)
+    slot_ones, slot_twos = _ballot_slots(m)
+    # stored pair-major (the transposes are contiguous): the comparison
+    # then reduces over m long rows instead of many rows of length m
+    return (positions.T[slot_ones.T].reshape(m, -1).T,
+            positions.T[slot_twos.T].reshape(m, -1).T)
 
-    def rec(pos: int) -> None:
-        if len(ones) == m and len(twos) == m:
-            ones_rows.append(tuple(ones))
-            twos_rows.append(tuple(twos))
-            return
-        if n - pos < 2 * m - len(ones) - len(twos):
-            return
-        rec(pos + 1)
-        if len(ones) < m:
-            ones.append(pos)
-            rec(pos + 1)
-            ones.pop()
-        if len(twos) < len(ones):
-            twos.append(pos)
-            rec(pos + 1)
-            twos.pop()
 
-    rec(0)
-    shape = (len(ones_rows), m)
-    return (np.array(ones_rows, dtype=np.int8).reshape(shape),
-            np.array(twos_rows, dtype=np.int8).reshape(shape))
+def _any_twins(letters: np.ndarray, ones: np.ndarray,
+               twos: np.ndarray) -> np.ndarray:
+    """Per row of ``letters``: does some table row mark equal letters?"""
+    count, m = len(letters), ones.shape[1]
+    hit = np.zeros(count, dtype=bool)
+    words = max(1, _CHUNK_LETTERS // ones.size)
+    span = max(1, _CHUNK_LETTERS // (words * m))
+    for lo in range(0, count, words):
+        sub = letters[lo:lo + words]
+        done = hit[lo:lo + words]
+        for r in range(0, len(ones), span):
+            same = (sub.take(ones.T[:, r:r + span], axis=1)
+                    == sub.take(twos.T[:, r:r + span], axis=1))
+            done |= same.all(axis=1).any(axis=1)
+            if done.all():
+                break
+    return hit
+
+
+def _oracle_lengths(letters: np.ndarray, k: int) -> np.ndarray:
+    """Maximum twin length of each row of a (count, n) array of letters
+    in 1..k, by brute enumeration of monotone role words.
+
+    Works from the largest pair count down; at each count it tests only
+    the rows not yet settled whose per-letter slack allows that many
+    pairs, against every role word of the table.
+    """
+    letters = np.asarray(letters).astype(np.min_scalar_type(k))
+    count, n = letters.shape
+    slack = np.minimum(n // 2, sum((letters == c).sum(axis=1) // 2
+                                   for c in range(1, k + 1)))
+    lengths = np.zeros(count, dtype=np.intp)
+    todo = np.flatnonzero(slack)
+    for m in range(int(slack.max(initial=0)), 0, -1):
+        rows = todo[slack[todo] >= m]
+        if rows.size:
+            lengths[rows[_any_twins(letters[rows], *_ballot_tables(n, m))]] = m
+            todo = todo[lengths[todo] == 0]
+            if not todo.size:
+                break
+    return lengths
 
 
 def lt_oracle(word: Word, *, max_length: int = DEFAULT_ORACLE_LENGTH) -> int:
     """Maximum twin length by brute enumeration of monotone role words.
 
-    For each candidate pair count, in decreasing order, every monotone
-    role word is materialized and checked against the word with one
-    vectorized letter comparison.  Independent of the search by design.
+    A monotone role word is a choice of its marked positions times a
+    ballot word on them.  For each candidate pair count, in decreasing
+    order, every such role word is materialized and checked against the
+    word by vectorized letter comparisons; ``_oracle_lengths`` does the
+    same for a whole batch of words of one length at once.  Independent
+    of the search by design.  Raises ValueError past ``max_length`` and
+    BudgetError when a role table would exceed ``DEFAULT_BUDGET_CELLS``.
     """
     n = len(word)
     if n > max_length:
         raise ValueError(
             f"oracle enumeration supports length <= {max_length}, got {n}")
-    if n < 2:
-        return 0
-    arr = np.array(word.letters, dtype=np.int16)
-    per_letter = 0
-    for c in range(1, word.k + 1):
-        per_letter += int((arr == c).sum()) // 2
-    for m in range(min(n // 2, per_letter), 0, -1):
-        ones, twos = _ballot_tables(n, m)
-        if ones.shape[0] and bool((arr[ones] == arr[twos]).all(axis=1).any()):
-            return m
-    return 0
+    return int(_oracle_lengths(np.array([word.letters]), word.k)[0])
 
 
 _INFEASIBLE = -1

@@ -175,6 +175,35 @@ def lexmin_monotone_roles(letters: Sequence[int],
     return dfs(0, deque(), 0, [])
 
 
+def monotone_role_words(n: int, m: int
+                        ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every monotone role word of length n with m pairs, as the pair
+    (role-1 positions, role-2 positions), by a depth-first walk that
+    places a 1 while fewer than m are open and a 2 while it trails."""
+    rows = []
+    ones: list[int] = []
+    twos: list[int] = []
+
+    def rec(pos: int) -> None:
+        if len(ones) == m and len(twos) == m:
+            rows.append((tuple(ones), tuple(twos)))
+            return
+        if n - pos < 2 * m - len(ones) - len(twos):
+            return
+        rec(pos + 1)
+        if len(ones) < m:
+            ones.append(pos)
+            rec(pos + 1)
+            ones.pop()
+        if len(twos) < len(ones):
+            twos.append(pos)
+            rec(pos + 1)
+            twos.pop()
+
+    rec(0)
+    return rows
+
+
 # -- role-word census ---------------------------------------------------------
 
 

@@ -141,6 +141,15 @@ def test_twins_budget_exceeded(capsys):
     assert "budget" in err.lower()
 
 
+def test_twins_oracle_budget_exceeded(capsys):
+    # twin length 11: the m=11 role table would hold 276 * Catalan(11) rows
+    word = "000001111100000111110001"
+    code, out, err = run(capsys, "twins", word, "--oracle",
+                         "--max-length", "24")
+    assert code == 3 and out == ""
+    assert err.startswith("budget exceeded: twin oracle at n=24, m=11 ")
+
+
 @pytest.mark.parametrize("method", ["--exact", "--oracle"])
 @pytest.mark.parametrize("limit", ["0", "3"])
 def test_twins_explicit_max_length_is_honoured(capsys, method, limit):

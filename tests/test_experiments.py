@@ -22,7 +22,6 @@ from twinlcs import (
     estimate_lt_tail,
     expected_lcs,
     lt_exact,
-    lt_oracle,
     minimize_expected_lcs,
     pairwise_lcs_table,
     permutations_of,
@@ -35,6 +34,7 @@ from twinlcs import (
     write_jsonl,
 )
 from twinlcs.experiments import _local_minimum
+from twinlcs.twins import _oracle_lengths
 
 
 # -- rng discipline -------------------------------------------------------------
@@ -149,11 +149,9 @@ def test_tail_monte_carlo_route():
 def test_tail_monte_carlo_interval_covers_truth():
     # exhaustive truth over [2]^13 via the enumeration oracle, compared
     # against an independent Monte Carlo run
-    import itertools
-    from twinlcs import Word
     m = threshold_pairs(0.4, 13)
-    hits = sum(1 for ls in itertools.product((1, 2), repeat=13)
-               if lt_oracle(Word(ls, 2), max_length=13) >= m)
+    words = np.array(list(itertools.product((1, 2), repeat=13)))
+    hits = int((_oracle_lengths(words, 2) >= m).sum())
     truth = hits / 2 ** 13
     config = ExperimentConfig(seed=3, trials=400)
     est = estimate_lt_tail(2, 13, 0.4, config)

@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_twins, lexmin_monotone_roles
+from oracles import brute_twins, lexmin_monotone_roles, monotone_role_words
 from twinlcs import (
     BudgetError,
     InvalidCertificateError,
@@ -35,6 +37,8 @@ from twinlcs import (
     twins_via_blocks,
     twins_via_runs,
 )
+from twinlcs import twins
+from twinlcs.twins import _ballot_tables, _oracle_lengths
 
 words = st.integers(2, 3).flatmap(
     lambda k: st.lists(st.integers(1, k), max_size=9).map(
@@ -173,6 +177,73 @@ def test_regression_example_word():
     assert cert.length == 7
     assert roles_to_text(cert.roles) == "0120111211221222"
     assert lt_oracle(w, max_length=16) == 7
+
+
+# -- the enumeration oracle -----------------------------------------------------
+
+
+def test_ballot_tables_match_reference_enumeration():
+    for n in range(13):
+        for m in range(1, n // 2 + 1):
+            ones, twos = _ballot_tables(n, m)
+            rows = list(zip(map(tuple, ones.tolist()),
+                            map(tuple, twos.tolist())))
+            catalan = math.comb(2 * m, m) // (m + 1)
+            assert len(rows) == math.comb(n, 2 * m) * catalan, (n, m)
+            assert len(set(rows)) == len(rows), (n, m)
+            assert set(rows) == set(monotone_role_words(n, m)), (n, m)
+
+
+def _batch(k: int, n: int) -> tuple[list, np.ndarray]:
+    words = list(itertools.product(range(1, k + 1), repeat=n))
+    return words, np.array(words, dtype=np.int64).reshape(len(words), n)
+
+
+def test_oracle_lengths_match_brute_force_per_length():
+    for k, top in ((2, 8), (3, 5)):
+        for n in range(top + 1):
+            words, letters = _batch(k, n)
+            assert (_oracle_lengths(letters, k).tolist()
+                    == [brute_twins(w) for w in words]), (k, n)
+
+
+def test_oracle_lengths_edge_batches():
+    assert _oracle_lengths(np.zeros((0, 6), dtype=np.int64), 2).shape == (0,)
+    empty_words = np.zeros((3, 0), dtype=np.int64)
+    assert _oracle_lengths(empty_words, 2).tolist() == [0] * 3
+    assert _oracle_lengths(np.array([[1], [2]]), 2).tolist() == [0, 0]
+    for n in range(13):
+        letters = np.array([[1] * n, [3] * n]).reshape(2, n)
+        assert _oracle_lengths(letters, 3).tolist() == [n // 2] * 2
+        assert lt_oracle(Word((2,) * n, 2)) == n // 2
+
+
+def test_oracle_lengths_across_chunks():
+    # 4096 words times 132 rows of 6 pairs already exceeds one step at m=6
+    words, letters = _batch(2, 12)
+    assert letters.shape[0] * 132 * 6 > twins._CHUNK_LETTERS
+    assert (_oracle_lengths(letters, 2).tolist()
+            == [lt_exact(Word(w, 2)).length for w in words])
+
+
+def test_oracle_lengths_split_table_rows(monkeypatch):
+    # a step smaller than one word's table splits the table rows too
+    words = [sample_word(3, 11, 4, index=i) for i in range(40)]
+    monkeypatch.setattr(twins, "_CHUNK_LETTERS", 50)
+    got = _oracle_lengths(np.array([w.letters for w in words]), 3)
+    assert got.tolist() == [lt_exact(w).length for w in words]
+
+
+def test_oracle_budget_raises_before_building():
+    word = parse_word("000001111100000111110001")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="n=24, m=11 needs 356948592"):
+            lt_oracle(word, max_length=24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # -- canonical certificates -----------------------------------------------------

@@ -18,7 +18,6 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .twins import RoleStats
 
 E = math.e
 
@@ -186,11 +185,6 @@ def role_prob(k: int, n: int, pairs: int, switches: int,
         raise ValueError("role statistics out of range")
     free = switches + n - 2 * pairs - leading_zeros
     return Fraction(1, k) ** pairs * Fraction(k - 1, k) ** free
-
-
-def role_prob_stats(k: int, stats: RoleStats) -> Fraction:
-    return role_prob(k, stats.length, stats.pairs, stats.switches,
-                     stats.leading_zeros)
 
 
 def union_bound(k: int, n: int, pairs: int) -> Fraction:

@@ -13,13 +13,12 @@ import argparse
 import inspect
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from .bounds import (alpha_threshold, asymptotic_threshold,
-                     lower_bound_values, minmax_constant, role_count,
-                     role_prob, theta, union_bound)
+                     lower_bound_values, role_count, role_prob, theta,
+                     union_bound)
 from .constructions import FAMILY_BUILDERS, check_family
 from .errors import BudgetError
 from .experiments import (SCHEMA_VERSION, SUITES, ExperimentConfig,

@@ -61,16 +61,6 @@ def is_prime(x: int) -> bool:
     return True
 
 
-def next_prime(x: int) -> int:
-    """Smallest prime >= x."""
-    if x <= 2:
-        return 2
-    cand = x | 1
-    while not is_prime(cand):
-        cand += 2
-    return cand
-
-
 # -- key-array builds --------------------------------------------------------
 
 
@@ -150,8 +140,11 @@ def ceiling_value(out: FamilyOutput, ceiling: Ceiling, *,
 
     ``set_restrict`` caps joint-LCS checks by first deleting all letters
     above the cap from every word; deletion never increases the joint
-    LCS, so the check remains sound for the restricted instance.
+    LCS, so the check remains sound for the restricted instance.  A cap
+    below 1 would delete every letter and certify nothing: ValueError.
     """
+    if set_restrict is not None and set_restrict < 1:
+        raise ValueError(f"set_restrict must be >= 1, got {set_restrict}")
     words = [out.words[i] for i in ceiling.indices]
     if ceiling.mode == "lcs":
         return lcs_len(words[0], words[1])

@@ -9,7 +9,6 @@ output byte for byte.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 from bisect import bisect_left
@@ -17,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -266,21 +265,10 @@ class PermutationDistribution:
     def exact(self) -> bool:
         return all(isinstance(w, (Fraction, int)) for w in self.weights)
 
-    def support(self) -> tuple[tuple[int, ...], ...]:
-        perms = permutations_of(self.k)
-        return tuple(perms[i] for i, w in enumerate(self.weights) if w > 0)
-
     @classmethod
     def uniform(cls, k: int) -> "PermutationDistribution":
         size = math.factorial(k)
         return cls(k, (Fraction(1, size),) * size)
-
-    @classmethod
-    def point_mass(cls, k: int, index: int) -> "PermutationDistribution":
-        size = math.factorial(k)
-        if not 0 <= index < size:
-            raise ValueError(f"index must lie in [0, {size}), got {index}")
-        return cls(k, tuple(1 if i == index else 0 for i in range(size)))
 
     def to_json(self) -> dict:
         return {"k": self.k, "exact": self.exact,
@@ -753,22 +741,3 @@ def verify_suite(name: str,
     config = config or ExperimentConfig()
     checks = tuple(_SUITE_RUNNERS[name](config))
     return SuiteReport(name, all(c.ok for c in checks), checks)
-
-
-# -- result persistence --------------------------------------------------------
-
-
-def write_json(path: str, payload: dict) -> None:
-    record = {"schema_version": SCHEMA_VERSION, **payload}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_jsonl(path: str, records: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps({"schema_version": SCHEMA_VERSION, **record},
-                                sort_keys=True))
-            fh.write("\n")
-

@@ -432,7 +432,10 @@ def _ballot_slots(m: int) -> tuple[np.ndarray, np.ndarray]:
     return ones, twos
 
 
-@lru_cache(maxsize=None)
+# Role tables kept across calls, least recently used first.
+_TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+
+
 def _ballot_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Index tables of every monotone role word of length n with m >= 1 pairs.
 
@@ -441,8 +444,13 @@ def _ballot_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     choice of its 2m marked positions times a ballot word on them, so
     the tables are the C(n, 2m) position choices indexed by the
     Catalan(m) ballot slots.  Their entries are charged against
-    ``DEFAULT_BUDGET_CELLS`` before anything is built.
+    ``DEFAULT_BUDGET_CELLS`` before anything is built, and so are those
+    of the cached tables: the least recently used are dropped first.
     """
+    key = (n, m)
+    if key in _TABLES:
+        _TABLES[key] = _TABLES.pop(key)
+        return _TABLES[key]
     marked = math.comb(n, 2 * m)
     entries = marked * (math.comb(2 * m, m) // (m + 1)) * 2 * m
     if entries > DEFAULT_BUDGET_CELLS:
@@ -450,6 +458,10 @@ def _ballot_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
             f"twin oracle at n={n}, m={m} needs {entries} role-table "
             f"entries, over the budget of {DEFAULT_BUDGET_CELLS}; "
             f"use the exact search")
+    while _TABLES and entries + sum(
+            ones.size + twos.size
+            for ones, twos in _TABLES.values()) > DEFAULT_BUDGET_CELLS:
+        del _TABLES[next(iter(_TABLES))]
     positions = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), 2 * m)),
         dtype=np.min_scalar_type(n), count=marked * 2 * m
@@ -457,8 +469,9 @@ def _ballot_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     slot_ones, slot_twos = _ballot_slots(m)
     # stored pair-major (the transposes are contiguous): the comparison
     # then reduces over m long rows instead of many rows of length m
-    return (positions.T[slot_ones.T].reshape(m, -1).T,
-            positions.T[slot_twos.T].reshape(m, -1).T)
+    _TABLES[key] = (positions.T[slot_ones.T].reshape(m, -1).T,
+                    positions.T[slot_twos.T].reshape(m, -1).T)
+    return _TABLES[key]
 
 
 def _any_twins(letters: np.ndarray, ones: np.ndarray,
@@ -520,68 +533,6 @@ def lt_oracle(word: Word, *, max_length: int = DEFAULT_ORACLE_LENGTH) -> int:
         raise ValueError(
             f"oracle enumeration supports length <= {max_length}, got {n}")
     return int(_oracle_lengths(np.array([word.letters]), word.k)[0])
-
-
-_INFEASIBLE = -1
-
-
-def lt_tuplets(word: Word, t: int, *,
-               budget_nodes: int = DEFAULT_NODE_BUDGET) -> int:
-    """Largest m such that the word contains t pairwise disjoint equal
-    subsequences of length m.
-
-    t = 1 asks for one subsequence, hence the word length.  For t >= 2
-    the search scans positions holding a queue per adjacent pair of
-    copies: a letter marked for copy j waits there until matched in
-    copy j+1.  As with twins, the copies of an optimal family can be
-    rearranged so the i-th letters appear in copy order, so this scan
-    is exhaustive.
-    """
-    if t < 1:
-        raise ValueError(f"tuplet order must be >= 1, got {t}")
-    if t == 1:
-        return len(word)
-    letters = word.letters
-    n = len(letters)
-    empty: tuple[Roles, ...] = ((),) * (t - 1)
-    memo: dict[tuple[int, tuple[Roles, ...]], int] = {}
-    nodes = 0
-
-    def value(pos: int, debts: tuple[Roles, ...]) -> int:
-        nonlocal nodes
-        key = (pos, debts)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        nodes += 1
-        if nodes > budget_nodes:
-            raise BudgetError(f"tuplet search exceeded {budget_nodes} states")
-        # clearing the queue for copy i+2 costs t-1-i positions per letter
-        need = sum((t - 1 - i) * len(d) for i, d in enumerate(debts))
-        if n - pos < need:
-            memo[key] = _INFEASIBLE
-            return _INFEASIBLE
-        if pos == n:
-            memo[key] = 0 if need == 0 else _INFEASIBLE
-            return memo[key]
-        c = letters[pos]
-        best = value(pos + 1, debts)
-        cand = value(pos + 1, (debts[0] + (c,),) + debts[1:])
-        if cand != _INFEASIBLE and cand + 1 > best:
-            best = cand + 1
-        for i, queue in enumerate(debts):
-            if queue and queue[0] == c:
-                nxt = list(debts)
-                nxt[i] = queue[1:]
-                if i + 1 < t - 1:
-                    nxt[i + 1] = nxt[i + 1] + (c,)
-                cand = value(pos + 1, tuple(nxt))
-                if cand > best:
-                    best = cand
-        memo[key] = best
-        return best
-
-    return max(value(0, empty), 0)
 
 
 # -- cheap bounds and quick constructions ------------------------------------

@@ -7,10 +7,9 @@ shifted to 1/2 on parse and can be rendered back with ``to_compact(zero_based=Tr
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 Letters = tuple[int, ...]
 
@@ -44,11 +43,6 @@ class Word:
     def reversed(self) -> "Word":
         return Word(self.letters[::-1], self.k)
 
-    def concat(self, other: "Word") -> "Word":
-        if other.k != self.k:
-            raise ValueError("concatenation requires a common alphabet")
-        return Word(self.letters + other.letters, self.k)
-
     def restrict(self, keep: Iterable[int]) -> "Word":
         """Delete every letter not in ``keep`` (alphabet size is unchanged)."""
         keep = set(keep)
@@ -74,10 +68,6 @@ class Word:
     def to_json(self) -> dict:
         return {"k": self.k, "letters": list(self.letters)}
 
-    @staticmethod
-    def from_json(obj: dict) -> "Word":
-        return Word(tuple(obj["letters"]), int(obj["k"]))
-
 
 def parse_word(text: str) -> Word:
     """Parse ``k=<int>;w=<comma-separated letters>`` or a compact digit string.
@@ -102,112 +92,6 @@ def parse_word(text: str) -> Word:
     if 0 in digits:
         return Word(tuple(d + 1 for d in digits), max(digits) + 1)
     return Word(tuple(digits), max(digits))
-
-
-@dataclass(frozen=True)
-class MultiSignature:
-    """Letter multiplicities of a word: counts[l-1] is the multiplicity of l."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        object.__setattr__(self, "counts", counts)
-        if any(c < 0 for c in counts):
-            raise ValueError("multiplicities must be nonnegative")
-
-    @property
-    def k(self) -> int:
-        return len(self.counts)
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def is_permutation(self) -> bool:
-        return all(c == 1 for c in self.counts)
-
-    def uniform_multiplicity(self) -> Optional[int]:
-        """The common multiplicity s if every letter occurs s times, else None."""
-        if not self.counts:
-            return None
-        s = self.counts[0]
-        return s if all(c == s for c in self.counts) else None
-
-    def to_json(self) -> dict:
-        return {"counts": list(self.counts)}
-
-
-def signature(w: Word) -> MultiSignature:
-    counts = [0] * w.k
-    for a in w:
-        counts[a - 1] += 1
-    return MultiSignature(tuple(counts))
-
-
-# -- subword frequencies ----------------------------------------------------
-
-
-def _occurrence_count(letters: Letters, pattern: Letters) -> int:
-    m = len(pattern)
-    return sum(1 for i in range(len(letters) - m + 1) if letters[i : i + m] == pattern)
-
-
-def frequency(w: Word, u: Word) -> Fraction:
-    """Occurrences of u as a contiguous subword of w, over len(w) - len(u) + 1.
-
-    Zero when u is longer than w.  Empty patterns are rejected.
-    """
-    if len(u) == 0:
-        raise ValueError("pattern must be nonempty")
-    if len(u) > len(w):
-        return Fraction(0)
-    return Fraction(_occurrence_count(w.letters, u.letters), len(w) - len(u) + 1)
-
-
-@dataclass(frozen=True)
-class FrequencyTable:
-    """Frequencies of every occurring pattern of length <= max_length.
-
-    Absent patterns have frequency zero; ``entries`` is sparse.
-    """
-
-    k: int
-    word_length: int
-    max_length: int
-    entries: dict
-
-    def frequency(self, u: Word) -> Fraction:
-        if len(u) == 0:
-            raise ValueError("pattern must be nonempty")
-        if len(u) > self.max_length:
-            raise ValueError(f"table only covers patterns up to length {self.max_length}")
-        return self.entries.get(u.letters, Fraction(0))
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "word_length": self.word_length,
-            "max_length": self.max_length,
-            "freqs": {
-                ",".join(map(str, pat)): f"{fr.numerator}/{fr.denominator}"
-                for pat, fr in sorted(self.entries.items())
-            },
-        }
-
-
-def frequency_table(w: Word, max_length: int) -> FrequencyTable:
-    if max_length < 1:
-        raise ValueError("max_length must be >= 1")
-    if max_length > len(w):
-        raise ValueError("max_length exceeds the word length")
-    entries = {}
-    for m in range(1, max_length + 1):
-        denom = len(w) - m + 1
-        counts = Counter(w.letters[i : i + m] for i in range(denom))
-        for pat, c in counts.items():
-            entries[pat] = Fraction(c, denom)
-    return FrequencyTable(w.k, len(w), max_length, entries)
 
 
 # -- regularity -------------------------------------------------------------
@@ -277,64 +161,3 @@ def is_regular(w: Word, eps, max_length: int) -> RegularityReport:
                     witness = RegularityWitness(i, j, Word(pat, w.k), gap)
                     return RegularityReport(False, witness)
     return RegularityReport(True, None)
-
-
-# -- structural operations --------------------------------------------------
-
-
-def distinguish(w: Word) -> Word:
-    """Make all letters distinct: the j-th copy of letter l becomes a fresh letter.
-
-    The enlarged alphabet enumerates the (letter, copy) pairs of w in
-    letter-major, copy-minor order, so the result is a permutation word of
-    length len(w) over exactly len(w) letters.
-    """
-    counts = Counter(w.letters)
-    offset = {}
-    acc = 0
-    for l in sorted(counts):
-        offset[l] = acc
-        acc += counts[l]
-    seen: Counter = Counter()
-    out = []
-    for a in w:
-        seen[a] += 1
-        out.append(offset[a] + seen[a])
-    return Word(tuple(out), max(1, len(w)))
-
-
-def first_occurrence_permutation(w: Word, subset: Iterable[int]) -> Word:
-    """Subsequence of the first occurrences of the given letters.
-
-    Returns the empty word unless every requested letter occurs in w; otherwise
-    the result contains each requested letter exactly once, ordered by first
-    occurrence.
-    """
-    wanted = set(subset)
-    for l in wanted:
-        if not 1 <= l <= w.k:
-            raise ValueError(f"letter {l} outside alphabet [1, {w.k}]")
-    first = {}
-    for i, a in enumerate(w):
-        if a in wanted and a not in first:
-            first[a] = i
-    if len(first) < len(wanted):
-        return Word((), w.k)
-    order = sorted(first.values())
-    return Word(tuple(w[i] for i in order), w.k)
-
-
-def substitute(w: Word, family: Sequence[Word]) -> Word:
-    """Replace every letter l of w by the word family[l-1] and concatenate."""
-    if len(family) != w.k:
-        raise ValueError(f"need exactly {w.k} replacement words, got {len(family)}")
-    if family:
-        k_out = family[0].k
-        if any(f.k != k_out for f in family):
-            raise ValueError("replacement words must share one alphabet")
-    else:
-        k_out = 1
-    out: list[int] = []
-    for a in w:
-        out.extend(family[a - 1].letters)
-    return Word(tuple(out), k_out)

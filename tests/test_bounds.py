@@ -17,8 +17,6 @@ from twinlcs import (
     random_strongly_monotone,
     role_count,
     role_prob,
-    role_prob_stats,
-    role_stats,
     sharp_image_tables,
     strong_monotonicity_violation,
     substream,
@@ -199,11 +197,6 @@ def test_role_prob():
                 (2, 12, 4, 2, 5), (2, 12, -1, 0, 0)):
         with pytest.raises(ValueError):
             role_prob(*bad)
-
-
-def test_role_prob_from_stats():
-    stats = role_stats((0, 1, 2, 1, 1, 2, 0, 2, 1, 2, 0, 0))
-    assert role_prob_stats(2, stats) == Fraction(1, 512)
 
 
 def test_role_prob_matches_direct_enumeration():

@@ -303,6 +303,15 @@ def test_construct_bad_ms_exits_2(capsys):
                    "literal for int() with base 10: 'x'\n")
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_construct_set_restrict_below_one_exits_2(capsys, cap):
+    # such a cap deletes every letter, so each set ceiling would read 0
+    code, out, err = run(capsys, "construct", "tuplet", "--t", "3",
+                         "--kappa", "2", "--check", "--set-restrict", cap)
+    assert (code, out) == (2, "")
+    assert err == f"error: set_restrict must be >= 1, got {cap}\n"
+
+
 def test_construct_subcommands_are_the_registry(capsys):
     with pytest.raises(SystemExit):
         main(["construct", "--help"])

@@ -14,6 +14,7 @@ from twinlcs import (
     BudgetError,
     FAMILY_BUILDERS,
     Word,
+    ceiling_value,
     check_family,
     cube_quadruple,
     grid_pair,
@@ -21,9 +22,7 @@ from twinlcs import (
     lcs_pair,
     lcs_reversible,
     multiperm_quadruple,
-    next_prime,
     quadratic_family,
-    signature,
     stratified_family,
     tuplet_family,
 )
@@ -42,9 +41,6 @@ def test_primes():
     assert [p for p in range(2, 30) if is_prime(p)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert not is_prime(1) and not is_prime(0)
-    assert next_prime(1) == 2
-    assert next_prime(8) == 11
-    assert next_prime(11) == 11
 
 
 # -- quadratic -----------------------------------------------------------------
@@ -53,7 +49,7 @@ def test_primes():
 def test_quadratic_small():
     out = quadratic_family(2)
     assert len(out.words) == 2
-    assert all(signature(w).is_permutation() for w in out.words)
+    assert all(sorted(w) == list(range(1, w.k + 1)) for w in out.words)
     assert len(out.words[0]) == 8
     report = assert_all_hold(out)
     # independent recomputation of the single ceiling
@@ -127,7 +123,7 @@ def test_grid_auto_frozen_table():
         assert out.param("k2") == k2
         assert out.param("auto")
         assert all(len(w) == k * s for w in out.words)
-        assert all(signature(w).uniform_multiplicity() == s
+        assert all(sorted(w) == sorted(list(range(1, w.k + 1)) * s)
                    for w in out.words)
         assert lcs_reversible(*out.words).length == lcsr
         assert_all_hold(out)
@@ -306,6 +302,13 @@ def test_set_restrict_never_increases_value():
     restricted = check_family(out, set_restrict=4)
     for (_, v_full, _), (_, v_restr, _) in zip(full, restricted):
         assert v_restr <= v_full
+
+
+def test_set_restrict_below_one_rejected():
+    out = tuplet_family(3, 2)
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match=f"got {cap}$"):
+            ceiling_value(out, out.ceilings[0], set_restrict=cap)
 
 
 def test_param_lookup():

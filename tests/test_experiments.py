@@ -2,7 +2,6 @@
 
 import hashlib
 import itertools
-import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -30,8 +29,6 @@ from twinlcs import (
     threshold_pairs,
     verify_suite,
     wilson_interval,
-    write_json,
-    write_jsonl,
 )
 from twinlcs.experiments import _local_minimum
 from twinlcs.twins import _oracle_lengths
@@ -242,9 +239,8 @@ def test_distribution_validation():
     uniform = PermutationDistribution.uniform(3)
     assert uniform.exact
     assert sum(uniform.weights) == 1
-    point = PermutationDistribution.point_mass(3, 0)
-    assert point.weights[0] == 1
-    assert point.support() == ((1, 2, 3),)
+    point = PermutationDistribution(3, (1, 0, 0, 0, 0, 0))
+    assert point.exact
     with pytest.raises(ValueError):
         PermutationDistribution(3, (1, 0))  # wrong length
     with pytest.raises(ValueError):
@@ -256,7 +252,8 @@ def test_distribution_validation():
 def test_expected_lcs_exact_values():
     assert expected_lcs(PermutationDistribution.uniform(2)) == Fraction(3, 2)
     assert expected_lcs(PermutationDistribution.uniform(3)) == 2
-    assert expected_lcs(PermutationDistribution.point_mass(4, 7)) == 4
+    point = PermutationDistribution(4, (0,) * 7 + (1,) + (0,) * 16)
+    assert expected_lcs(point) == 4
     assert expected_lcs(PermutationDistribution.uniform(5)) \
         == Fraction(67, 24)
     assert expected_lcs(PermutationDistribution.uniform(6)) \
@@ -404,25 +401,6 @@ def test_registry_check_fails_for_a_family_without_a_case(monkeypatch):
 def test_unknown_suite():
     with pytest.raises(ValueError):
         verify_suite("nope")
-
-
-# -- persistence -------------------------------------------------------------------
-
-
-def test_write_json(tmp_path):
-    path = tmp_path / "out.json"
-    write_json(str(path), {"hello": 1})
-    doc = json.loads(path.read_text())
-    assert doc["schema_version"] == 1
-    assert doc["hello"] == 1
-
-
-def test_write_jsonl(tmp_path):
-    path = tmp_path / "out.jsonl"
-    write_jsonl(str(path), [{"a": 1}, {"a": 2}])
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [d["a"] for d in lines] == [1, 2]
-    assert all(d["schema_version"] == 1 for d in lines)
 
 
 def test_config_validation():

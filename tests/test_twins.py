@@ -21,7 +21,6 @@ from twinlcs import (
     is_twin_roles,
     lt_exact,
     lt_oracle,
-    lt_tuplets,
     minimal_certificate,
     monotonize,
     parse_roles,
@@ -246,6 +245,18 @@ def test_oracle_budget_raises_before_building():
     assert peak < 4 * 2**20
 
 
+def test_oracle_table_cache_stays_within_budget(monkeypatch):
+    # each table fits the budget but the tables of one length do not, so
+    # tables are dropped within a call and rebuilt as the lengths alternate
+    monkeypatch.setattr(twins, "DEFAULT_BUDGET_CELLS", 1000)
+    monkeypatch.setattr(twins, "_TABLES", {})
+    for n in (8, 6, 8, 7, 8):
+        for w in itertools.product((1, 2), repeat=n):
+            assert lt_oracle(Word(w, 2)) == brute_twins(w), w
+            assert sum(ones.size + twos.size
+                       for ones, twos in twins._TABLES.values()) <= 1000
+
+
 # -- canonical certificates -----------------------------------------------------
 
 
@@ -294,32 +305,6 @@ def test_find_regularity_violation_kinds():
     # switch: a 1 right after a 2 holding the same letter
     v = find_regularity_violation(parse_word("1111"), (1, 2, 1, 2))
     assert v is not None and v.kind == "switch" and (v.left, v.right) == (1, 2)
-
-
-# -- tuplets ---------------------------------------------------------------------
-
-
-def test_lt_tuplets():
-    w = parse_word("121212")
-    assert lt_tuplets(w, 1) == 6
-    assert lt_tuplets(w, 2) == lt_exact(w).length == 2
-    assert lt_tuplets(w, 3) == 2  # the three disjoint copies of "12"
-    assert lt_tuplets(w, 7) == 0
-    assert lt_tuplets(parse_word("111111111"), 3) == 3
-    with pytest.raises(ValueError):
-        lt_tuplets(w, 0)
-
-
-@given(words.filter(lambda w: 2 <= len(w) <= 8))
-def test_lt_tuplets_t2_matches_exact(w):
-    assert lt_tuplets(w, 2) == lt_exact(w).length
-
-
-def test_lt_tuplets_monotone_in_t():
-    for i in range(40):
-        w = sample_word(2, 9, 37, index=i)
-        values = [lt_tuplets(w, t) for t in (1, 2, 3, 4)]
-        assert values == sorted(values, reverse=True)
 
 
 # -- lower-bound heuristics -------------------------------------------------------

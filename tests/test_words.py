@@ -1,6 +1,5 @@
-"""Word type, parsing, subword frequencies, regularity, structural ops."""
+"""Word type, parsing, rendering and regularity."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -10,17 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import regularity_violation
-from twinlcs import (
-    Word,
-    distinguish,
-    first_occurrence_permutation,
-    frequency,
-    frequency_table,
-    is_regular,
-    parse_word,
-    signature,
-    substitute,
-)
+from twinlcs import Word, is_regular, parse_word
 
 words = st.integers(1, 4).flatmap(
     lambda k: st.lists(st.integers(1, k), max_size=12).map(
@@ -59,11 +48,8 @@ def test_word_accepts_numpy_letters():
 def test_word_basic_ops():
     w = Word((1, 2, 2, 3), 3)
     assert w.reversed().letters == (3, 2, 2, 1)
-    assert w.concat(Word((1,), 3)).letters == (1, 2, 2, 3, 1)
     assert w.restrict({2}).letters == (2, 2)
     assert w.restrict({2}).k == 3
-    with pytest.raises(ValueError):
-        w.concat(Word((1,), 2))
 
 
 def test_parse_word_forms():
@@ -88,51 +74,6 @@ def test_compact_rendering():
 @given(words)
 def test_parse_round_trips(w):
     assert parse_word(w.to_text()) == w
-    assert Word.from_json(w.to_json()) == w
-
-
-def test_signature():
-    sig = signature(Word((1, 2, 2, 3), 3))
-    assert sig.counts == (1, 2, 1)
-    assert sig.total == 4
-    assert not sig.is_permutation()
-    assert sig.uniform_multiplicity() is None
-    assert signature(Word((3, 1, 2), 3)).is_permutation()
-    assert signature(Word((1, 1, 2, 2), 2)).uniform_multiplicity() == 2
-
-
-# -- frequencies ---------------------------------------------------------------
-
-
-def test_frequency_values():
-    w = parse_word("1212")
-    assert frequency(w, parse_word("12")) == Fraction(2, 3)
-    assert frequency(w, parse_word("21")) == Fraction(1, 3)
-    assert frequency(w, parse_word("1212")) == 1
-    assert frequency(w, parse_word("11")) == 0
-    assert frequency(w, parse_word("121212")) == 0
-    with pytest.raises(ValueError):
-        frequency(w, Word((), 2))
-
-
-@given(words.filter(lambda w: len(w) >= 1))
-def test_frequency_table_matches_pointwise(w):
-    cap = min(3, len(w))
-    table = frequency_table(w, cap)
-    for m in range(1, cap + 1):
-        for pat in itertools.product(range(1, w.k + 1), repeat=m):
-            u = Word(pat, w.k)
-            assert table.frequency(u) == frequency(w, u)
-    with pytest.raises(ValueError):
-        table.frequency(Word((1,) * (cap + 1), w.k))
-
-
-def test_frequency_table_validation():
-    w = parse_word("121")
-    with pytest.raises(ValueError):
-        frequency_table(w, 0)
-    with pytest.raises(ValueError):
-        frequency_table(w, 4)
 
 
 # -- regularity ----------------------------------------------------------------
@@ -193,41 +134,3 @@ def test_regularity_validation():
         is_regular(w, Fraction(3, 2), 1)
     with pytest.raises(ValueError):
         is_regular(w, Fraction(1, 2), 5)
-
-
-# -- structural operations ------------------------------------------------------
-
-
-def test_distinguish_example():
-    assert distinguish(Word((1, 2, 1), 2)) == Word((1, 3, 2), 3)
-
-
-@given(words.filter(lambda w: len(w) >= 1))
-def test_distinguish_is_permutation_preserving_copy_order(w):
-    d = distinguish(w)
-    assert sorted(d.letters) == list(range(1, len(w) + 1))
-    # the j-th copy of a letter maps below its (j+1)-th copy
-    seen: dict[int, int] = {}
-    for orig, fresh in zip(w.letters, d.letters):
-        if orig in seen:
-            assert fresh > seen[orig]
-        seen[orig] = fresh
-
-
-def test_first_occurrence_permutation():
-    w = parse_word("2123")
-    assert first_occurrence_permutation(w, {1, 2, 3}) == Word((2, 1, 3), 3)
-    assert first_occurrence_permutation(w, {2}) == Word((2,), 3)
-    assert first_occurrence_permutation(Word((1, 1), 3), {1, 2}) == Word((), 3)
-    with pytest.raises(ValueError):
-        first_occurrence_permutation(w, {4})
-
-
-def test_substitute():
-    w = Word((1, 2), 2)
-    family = [Word((1, 1), 3), Word((2, 3), 3)]
-    assert substitute(w, family) == Word((1, 1, 2, 3), 3)
-    with pytest.raises(ValueError):
-        substitute(w, family[:1])
-    with pytest.raises(ValueError):
-        substitute(w, [Word((1,), 3), Word((1,), 2)])

@@ -15,9 +15,8 @@ from .bounds import (AsymptoticThreshold, LowerBoundValues, MinMaxConstant,
                      strong_monotonicity_violation, theta, union_bound)
 from .constructions import (Ceiling, FamilyOutput, FAMILY_BUILDERS,
                             check_family, ceiling_value, cube_quadruple,
-                            grid_pair, is_prime, multiperm_quadruple,
-                            quadratic_family, stratified_family,
-                            tuplet_family)
+                            grid_pair, multiperm_quadruple, quadratic_family,
+                            stratified_family, tuplet_family)
 from .errors import BudgetError, InvalidCertificateError
 from .experiments import (CheckResult, ExperimentConfig, MinimizeResult,
                           PermutationDistribution, SCHEMA_VERSION, SUITES,

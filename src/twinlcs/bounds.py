@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -197,12 +197,12 @@ def union_bound(k: int, n: int, pairs: int) -> Fraction:
     is regular, and the count-weighted sum dominates the union over all
     regular role words.
     """
+    if k < 1:
+        raise ValueError(f"alphabet size must be >= 1, got {k}")
     if pairs < 0 or n < 0:
         raise ValueError("length and pair count must be nonnegative")
     if 2 * pairs > n:
         return Fraction(0)
-    if k < 1:
-        raise ValueError(f"alphabet size must be >= 1, got {k}")
     # the summand factors into a switch part and a leading-zero part
     q = Fraction(k - 1, k)
     switch_sum = sum(math.comb(pairs, p) ** 2 * q ** p
@@ -219,7 +219,6 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float,
                 tol: float) -> float:
     """Golden-section minimum of a unimodal function on [lo, hi], to width
     tol or until a probe rounds onto an end and the bracket cannot shrink."""
-    _check_tol(tol)
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv * (b - a)
@@ -255,7 +254,7 @@ class MinMaxConstant:
                 "exact_value": self.exact_value, "exact_x": self.exact_x}
 
 
-def minmax_constant(tol: float = 1e-12) -> MinMaxConstant:
+def minmax_constant() -> MinMaxConstant:
     def f(x: float) -> float:
         return max(1.0 / 3.0 + x * x / 12.0, 0.5 - x / 2.0)
 
@@ -264,7 +263,7 @@ def minmax_constant(tol: float = 1e-12) -> MinMaxConstant:
     best = min(grid, key=f)
     lo = max(0.0, best - 2e-3)
     hi = min(1.0, best + 2e-3)
-    x = _golden_min(f, lo, hi, tol)
+    x = _golden_min(f, lo, hi, 1e-12)
     return MinMaxConstant(f(x), x, (4.0 - math.sqrt(11.0)) / 2.0,
                           math.sqrt(11.0) - 3.0)
 
@@ -312,13 +311,8 @@ def lower_bound_values(k: int) -> LowerBoundValues:
 # -- images of strongly monotone maps ----------------------------------------
 
 
-TwoVar = Union[Callable[[int, int], int], Sequence[Sequence[int]]]
-
-
-def _as_map(f: TwoVar, s: int) -> Callable[[int, int], int]:
-    """Normalize a callable or an s-by-s table to a 1-based map."""
-    if callable(f):
-        return f
+def _as_map(f: Sequence[Sequence[int]], s: int) -> Callable[[int, int], int]:
+    """An s-by-s table as a 1-based map."""
     rows = [tuple(row) for row in f]
     if len(rows) != s or any(len(row) != s for row in rows):
         raise ValueError(f"table must be {s}x{s}")
@@ -342,7 +336,7 @@ class MonotoneImageResult:
                 "meets_floor": self.meets_floor}
 
 
-def strong_monotonicity_violation(f: TwoVar, s: int
+def strong_monotonicity_violation(f: Sequence[Sequence[int]], s: int
                                   ) -> Optional[tuple[tuple[int, int],
                                                       tuple[int, int]]]:
     """A pair of cells certifying that f is not strongly monotone on
@@ -360,10 +354,10 @@ def strong_monotonicity_violation(f: TwoVar, s: int
     return None
 
 
-def monotone_image(f1: TwoVar, f2: TwoVar, f3: TwoVar,
-                   s: int) -> MonotoneImageResult:
-    """Count the combined image; raises ValueError when any input map
-    fails strong monotonicity (with the violating cells)."""
+def monotone_image(f1: Sequence[Sequence[int]], f2: Sequence[Sequence[int]],
+                   f3: Sequence[Sequence[int]], s: int) -> MonotoneImageResult:
+    """Count the combined image of three s-by-s tables; raises ValueError
+    when any table fails strong monotonicity (with the violating cells)."""
     if s < 1:
         raise ValueError(f"side must be >= 1, got {s}")
     maps = []

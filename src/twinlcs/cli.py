@@ -25,9 +25,8 @@ from .experiments import (SCHEMA_VERSION, SUITES, ExperimentConfig,
                           estimate_lt_tail, minimize_expected_lcs,
                           verify_suite)
 from .lcs import lcs_pair, lcs_reversible, set_lcs_stats
-from .twins import (DEFAULT_EXACT_LENGTH, DEFAULT_ORACLE_LENGTH, lt_exact,
-                    lt_oracle, parse_roles, role_stats, roles_to_text,
-                    twins_via_blocks, twins_via_runs)
+from .twins import (lt_exact, lt_oracle, parse_roles, role_stats,
+                    roles_to_text, twins_via_blocks, twins_via_runs)
 from .words import Word, parse_word
 
 
@@ -104,9 +103,10 @@ def _certificate_lines(cert) -> list[str]:
 
 def _cmd_twins(args: argparse.Namespace) -> int:
     word = load_word(args.word)
+    # without --max-length each method keeps its own default cap
+    limit = {} if args.max_length is None else {"max_length": args.max_length}
     if args.method == "oracle":
-        value = lt_oracle(word, max_length=DEFAULT_ORACLE_LENGTH
-                          if args.max_length is None else args.max_length)
+        value = lt_oracle(word, **limit)
         _emit(args, {"value": value, "method": "oracle"},
               [f"length: {value}"])
         return 0
@@ -122,9 +122,7 @@ def _cmd_twins(args: argparse.Namespace) -> int:
                      f"({'met' if result.floor_met else 'missed'})")
         _emit(args, result.to_json(), lines)
         return 0
-    cert = lt_exact(word, max_length=DEFAULT_EXACT_LENGTH
-                    if args.max_length is None else args.max_length,
-                    budget_nodes=args.budget_nodes)
+    cert = lt_exact(word, **limit, budget_nodes=args.budget_nodes)
     _emit(args, cert.to_json(), _certificate_lines(cert))
     return 0
 
@@ -138,7 +136,6 @@ def _parse_ms(text: str) -> tuple[int, ...]:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     build = FAMILY_BUILDERS[args.family]
-    # option dests match builder parameters; the rest keep their defaults
     params = inspect.signature(build).parameters
     kwargs = {k: v for k, v in vars(args).items() if k in params}
     if "ms" in kwargs:
@@ -335,32 +332,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="build a low-LCS word family")
     p.set_defaults(func=_cmd_construct)
     fam = p.add_subparsers(dest="family", required=True)
-    q = fam.add_parser("quadratic", parents=[common])
-    q.add_argument("--p", type=int, required=True, help="prime modulus")
-    q.add_argument("--k", type=int, default=None,
-                   help="restrict to the first k letters")
-    q = fam.add_parser("cube", parents=[common])
-    q.add_argument("--n", type=int, required=True, help="side length")
-    q = fam.add_parser("grid", parents=[common])
-    q.add_argument("--k", type=int, default=None, help="alphabet size (auto)")
-    q.add_argument("--s", type=int, default=1, help="multiplicity")
-    q.add_argument("--k1", type=int, default=None)
-    q.add_argument("--k2", type=int, default=None)
-    q = fam.add_parser("multiperm", parents=[common])
-    q.add_argument("--s", type=int, required=True, help="multiplicity")
-    q.add_argument("--k1", type=int, default=None)
-    q.add_argument("--k2", type=int, default=None)
-    q.add_argument("--k3", type=int, default=None)
-    q.add_argument("--k", type=int, default=None, help="alphabet size (auto)")
-    q = fam.add_parser("tuplet", parents=[common])
-    q.add_argument("--t", type=int, required=True, help="tuplet order")
-    q.add_argument("--kappa", type=int, required=True,
-                   help="pairwise ceiling")
-    q = fam.add_parser("stratified", parents=[common])
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--ms", type=str, required=True,
-                   help="comma-separated block lengths")
+    for name, build in FAMILY_BUILDERS.items():
+        q = fam.add_parser(
+            name, parents=[common], description=inspect.getdoc(build),
+            formatter_class=argparse.RawDescriptionHelpFormatter)
+        # one option per builder parameter, so the dests are its keywords
+        for param in inspect.signature(build).parameters.values():
+            required = param.default is param.empty
+            if param.name == "ms":
+                q.add_argument("--ms", type=str, required=required,
+                               help="comma-separated block lengths")
+            else:
+                q.add_argument(f"--{param.name}", type=int, required=required,
+                               default=None if required else param.default)
     for q in fam.choices.values():
         q.add_argument("--check", action="store_true",
                        help="verify every ceiling numerically")

@@ -13,7 +13,8 @@ instances restricted to their first k letters inherit their ceilings.
 Each builder returns a :class:`FamilyOutput` carrying the words plus
 the list of certified ceilings (pairwise LCS, LCS against a reversed
 partner, or joint LCS of a subset).  ``check_family`` recomputes every
-ceiling with the LCS engine.
+ceiling with the LCS engine.  A family of more than four million letters
+in all raises BudgetError before anything is built.
 """
 
 from __future__ import annotations
@@ -31,34 +32,22 @@ from .lcs import DEFAULT_BUDGET_CELLS, lcs_len, lcs_multi
 from .words import Word
 
 
-# -- primality helpers -------------------------------------------------------
+# -- size cap and primality --------------------------------------------------
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Letters over all words of one family, checked by every builder before it
+# allocates: at the cap, cube_quadruple(100) peaks near 0.3 GB in about 2 s.
+_MAX_LETTERS = 4 * 10**6
 
 
-def is_prime(x: int) -> bool:
-    """Deterministic Miller-Rabin, exact for x below 3.3e24."""
-    if x < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if x % p == 0:
-            return x == p
-    d = x - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        y = pow(a, d, x)
-        if y in (1, x - 1):
-            continue
-        for _ in range(r - 1):
-            y = y * y % x
-            if y == x - 1:
-                break
-        else:
-            return False
-    return True
+def _check_letters(letters: int) -> None:
+    if letters > _MAX_LETTERS:
+        raise BudgetError(f"family needs {letters} letters, over the cap "
+                          f"{_MAX_LETTERS}")
+
+
+def _is_prime(x: int) -> bool:
+    """Trial division; the letter cap keeps the moduli it sees small."""
+    return x >= 2 and all(x % d for d in range(2, math.isqrt(x) + 1))
 
 
 # -- key-array builds --------------------------------------------------------
@@ -177,7 +166,8 @@ def quadratic_family(p: int, k: Optional[int] = None) -> FamilyOutput:
     Word i sorts the cube by the residues (i^2 x + i y + z, 2 i x + y, x)
     mod p.  With ``k`` the family is restricted to its first k letters.
     """
-    if not is_prime(p):
+    _check_letters(p ** 4)
+    if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     cube = p ** 3
     if k is None:
@@ -207,6 +197,7 @@ def cube_quadruple(n: int) -> FamilyOutput:
     """
     if n < 1:
         raise ValueError(f"side must be >= 1, got {n}")
+    _check_letters(4 * n ** 3)
     axes = np.indices((n, n, n))
     letters = 1 + np.arange(n ** 3)
     words = tuple(_sorted_word(letters, [sign * axis for sign, axis
@@ -243,6 +234,7 @@ def grid_pair(k: Optional[int] = None, s: int = 1, *,
         raise ValueError("grid sides must be >= 1")
     else:
         k = k1 * k2
+    _check_letters(2 * k1 * k2 * s)
     x, y, r = np.indices((k1, k2, s))
     letters = 1 + x * k2 + y
     words = (_sorted_word(letters, (x, y, r), k),
@@ -283,6 +275,7 @@ def multiperm_quadruple(s: int, k1: Optional[int] = None,
         raise ValueError("box sides must be >= 1")
     else:
         k = k1 * k2 * k3
+    _check_letters(4 * k1 * k2 * k3 * s)
     x, y, z, r = np.indices((k1, k2, k3, s))
     letters = 1 + (x * k2 + y) * k3 + z
     keys = ((x, y, z, r), (-x, -y, r, z), (-x, y, -z, r), (x, -y, r, -z))
@@ -297,9 +290,6 @@ def multiperm_quadruple(s: int, k1: Optional[int] = None,
     return FamilyOutput("multiperm",
                         (("s", s), ("k", k), ("k1", k1), ("k2", k2),
                          ("k3", k3), ("auto", auto)), words, ceilings)
-
-
-_MAX_TUPLET_LETTERS = 10 ** 6
 
 
 def tuplet_family(t: int, kappa: int) -> FamilyOutput:
@@ -317,9 +307,7 @@ def tuplet_family(t: int, kappa: int) -> FamilyOutput:
         raise ValueError(f"coordinate range must be >= 1, got {kappa}")
     subsets = list(itertools.combinations(range(1, 2 * t), t))
     size = kappa ** len(subsets)
-    if size > _MAX_TUPLET_LETTERS:
-        raise BudgetError(f"family needs {size} letters, over the cap "
-                          f"{_MAX_TUPLET_LETTERS}")
+    _check_letters(2 * t * size)
     axes = np.indices((kappa,) * len(subsets))
     letters = 1 + np.arange(size)
     signs_per_word = [[-1] * len(subsets)]
@@ -350,44 +338,33 @@ def stratified_family(k: int, n: int, ms: Sequence[int]) -> FamilyOutput:
     for m in ms:
         if n % (m * k) != 0:
             raise ValueError(f"m = {m} needs m*k to divide n = {n}")
-    words = []
-    index_of_m = {}
-    for m in ms:
+    step = n // k  # w_step is the ascending staircase
+    _check_letters((len(ms) + k + 1 + (step not in ms)) * n)
+
+    def periodic(m: int) -> Word:
         block = tuple(letter for letter in range(1, k + 1) for _ in range(m))
-        index_of_m[m] = len(words)
-        words.append(Word(block * (n // (m * k)), k))
-    const_index = {}
-    for letter in range(1, k + 1):
-        const_index[letter] = len(words)
-        words.append(Word((letter,) * n, k))
-    step = n // k
-    stair = Word(tuple(letter for letter in range(1, k + 1)
-                       for _ in range(step)), k)
-    if step in index_of_m:
-        stair_idx = index_of_m[step]
-    else:
-        stair_idx = len(words)
-        words.append(stair)
-    rstair_idx = len(words)
-    words.append(stair.reversed())
+        return Word(block * (n // (m * k)), k)
+
+    words = [periodic(m) for m in ms]
+    index_of_m = {m: i for i, m in enumerate(ms)}
+    consts = range(len(words), len(words) + k)
+    words += [Word((letter,) * n, k) for letter in range(1, k + 1)]
+    if step not in index_of_m:
+        index_of_m[step] = len(words)
+        words.append(periodic(step))
+    stair, rstair = index_of_m[step], len(words)
+    words.append(words[stair].reversed())
 
     per_letter = Fraction(n, k)
-    ceilings = []
-    strat = [(m, index_of_m[m]) for m in ms]
-    if step not in index_of_m:
-        strat.append((step, stair_idx))
-        strat.sort()
-    for (m1, i1), (m2, i2) in itertools.combinations(strat, 2):
-        ceilings.append(Ceiling((i1, i2), "lcs",
-                                per_letter + Fraction(m1, m2) * n))
-    for a, b in itertools.combinations(const_index.values(), 2):
-        ceilings.append(Ceiling((a, b), "lcs", 0))
-    for _, i in strat:
-        for c in const_index.values():
-            ceilings.append(Ceiling((i, c), "lcs", per_letter))
-    for c in const_index.values():
-        ceilings.append(Ceiling((c, rstair_idx), "lcs", per_letter))
-    ceilings.append(Ceiling((stair_idx, rstair_idx), "lcs", per_letter))
+    strat = sorted(index_of_m.items())
+    ceilings = [Ceiling((i1, i2), "lcs", per_letter + Fraction(m1, m2) * n)
+                for (m1, i1), (m2, i2) in itertools.combinations(strat, 2)]
+    ceilings += [Ceiling(pair, "lcs", 0)
+                 for pair in itertools.combinations(consts, 2)]
+    ceilings += [Ceiling((i, c), "lcs", per_letter)
+                 for _, i in strat for c in consts]
+    ceilings += [Ceiling((c, rstair), "lcs", per_letter) for c in consts]
+    ceilings.append(Ceiling((stair, rstair), "lcs", per_letter))
     return FamilyOutput("stratified", (("k", k), ("n", n), ("ms", ms)),
                         tuple(words), tuple(ceilings))
 

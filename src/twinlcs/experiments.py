@@ -20,13 +20,20 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import BudgetError
+from .bounds import (alpha_threshold, asymptotic_threshold,
+                     lower_bound_values, minmax_constant, monotone_image,
+                     random_strongly_monotone, role_count, role_prob,
+                     sharp_image_tables, theta, union_bound)
+from .constructions import (FAMILY_BUILDERS, check_family, cube_quadruple,
+                            grid_pair, multiperm_quadruple, quadratic_family,
+                            stratified_family, tuplet_family)
+from .errors import BudgetError, InvalidCertificateError
 from .lcs import DEFAULT_BUDGET_CELLS
 from .twins import (DEFAULT_EXACT_LENGTH, DEFAULT_NODE_BUDGET, _TwinSearch,
-                    _oracle_lengths, find_regularity_violation, is_monotone,
-                    is_twin_roles, lt_exact, random_monotone_certificate,
-                    regularize, role_stats, run_count, twins_via_blocks,
-                    twins_via_runs)
+                    _oracle_lengths, extract, find_regularity_violation,
+                    is_monotone, is_regular_pair, is_twin_roles, lt_exact,
+                    parse_roles, random_monotone_certificate, regularize,
+                    role_stats, run_count, twins_via_blocks, twins_via_runs)
 from .words import Word
 
 SCHEMA_VERSION = 1
@@ -78,18 +85,17 @@ def sample_word(k: int, n: int, seed: int, index: int = 0) -> Word:
     return Word(letters, k)
 
 
-def wilson_interval(successes: int, trials: int,
-                    z: float = Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes out of range")
     phat = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (phat + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / trials
-                         + z * z / (4.0 * trials * trials)) / denom
+    denom = 1.0 + Z95 * Z95 / trials
+    center = (phat + Z95 * Z95 / (2 * trials)) / denom
+    half = Z95 * math.sqrt(phat * (1.0 - phat) / trials
+                           + Z95 * Z95 / (4.0 * trials * trials)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
 
 
@@ -161,25 +167,23 @@ def estimate_lt_tail(k: int, n: int, alpha: float,
     if n > DEFAULT_EXACT_LENGTH:
         raise ValueError(f"exact search supports length <= "
                          f"{DEFAULT_EXACT_LENGTH}, got {n}")
-    if k ** n <= EXHAUSTIVE_CAP:
-        total = k ** n
-        hits = 0
-        for letters in itertools.product(range(1, k + 1), repeat=n):
-            search = _TwinSearch(Word(letters, k), config.budget_nodes)
-            if search.find(0, (), m) is not None:
-                hits += 1
-        frac = Fraction(hits, total)
-        p = float(frac)
-        return TailEstimate(k, n, alpha, m, p, p, p, total, hits,
-                            "exhaustive", frac, config)
-    hits = 0
-    for trial in range(config.trials):
-        word = sample_word(k, n, config.seed, index=trial)
-        if _TwinSearch(word, config.budget_nodes).find(0, (), m) is not None:
-            hits += 1
-    lo, hi = wilson_interval(hits, config.trials)
-    return TailEstimate(k, n, alpha, m, hits / config.trials, lo, hi,
-                        config.trials, hits, "monte-carlo", None, config)
+    exhaustive = k ** n <= EXHAUSTIVE_CAP
+    if exhaustive:
+        trials = k ** n
+        words = (Word(letters, k) for letters
+                 in itertools.product(range(1, k + 1), repeat=n))
+    else:
+        trials = config.trials
+        words = (sample_word(k, n, config.seed, index=trial)
+                 for trial in range(trials))
+    hits = sum(_TwinSearch(word, config.budget_nodes).find(0, (), m)
+               is not None for word in words)
+    p = hits / trials
+    lo, hi = (p, p) if exhaustive else wilson_interval(hits, trials)
+    return TailEstimate(k, n, alpha, m, p, lo, hi, trials, hits,
+                        "exhaustive" if exhaustive else "monte-carlo",
+                        Fraction(hits, trials) if exhaustive else None,
+                        config)
 
 
 # -- distributions on permutations and the expected-LCS form ------------------
@@ -226,16 +230,11 @@ def pairwise_lcs_table(k: int) -> np.ndarray:
     O(k! k) working memory (k = 6: 518k lookups, about 0.1 s of CPU on
     one core of a 2-core Xeon VM).
     """
-    if k < 1:
-        raise ValueError(f"alphabet size must be >= 1, got {k}")
     if k > MAX_TABLE_K:
         raise BudgetError(
             f"pairwise LCS table needs {math.factorial(k)}^2 entries; "
             f"cap is k <= {MAX_TABLE_K}")
     return _lcs_table_cached(k)
-
-
-Weight = Union[Fraction, int, float]
 
 
 @dataclass(frozen=True)
@@ -455,55 +454,55 @@ class SuiteReport:
                 "checks": [c.to_json() for c in self.checks]}
 
 
-def _run_check(name: str, fn: Callable[[], Optional[str]]) -> CheckResult:
+def _run_check(name: str, fn: Callable[..., Optional[str]],
+               *args) -> CheckResult:
     try:
-        detail = fn()
+        detail = fn(*args)
         return CheckResult(name, True, detail or "")
     except Exception as exc:  # report, never propagate
         return CheckResult(name, False, f"{type(exc).__name__}: {exc}")
 
 
 def _suite_constructions(config: ExperimentConfig) -> list[CheckResult]:
-    from .constructions import (FAMILY_BUILDERS, check_family, cube_quadruple,
-                                grid_pair, multiperm_quadruple,
-                                quadratic_family, stratified_family,
-                                tuplet_family)
-
+    # (check name, builder, positional arguments, keyword arguments)
+    cases = (
+        ("quadratic p=2", quadratic_family, (2,), {}),
+        ("quadratic p=3", quadratic_family, (3,), {}),
+        ("quadratic p=5", quadratic_family, (5,), {}),
+        ("cube quadruple n=1", cube_quadruple, (1,), {}),
+        ("cube quadruple n=2", cube_quadruple, (2,), {}),
+        ("cube quadruple n=3", cube_quadruple, (3,), {}),
+        ("cube quadruple n=4", cube_quadruple, (4,), {}),
+        ("grid pair explicit s=1 (2,2)", grid_pair, (),
+         dict(s=1, k1=2, k2=2)),
+        ("grid pair explicit s=2 (2,2)", grid_pair, (),
+         dict(s=2, k1=2, k2=2)),
+        ("grid pair auto k=9 s=2", grid_pair, (9, 2), {}),
+        ("grid pair auto k=16 s=1", grid_pair, (16, 1), {}),
+        ("multiperm s=1 dims=(2, 1, 2)", multiperm_quadruple,
+         (1, 2, 1, 2), {}),
+        ("multiperm s=2 dims=(2, 1, 2)", multiperm_quadruple,
+         (2, 2, 1, 2), {}),
+        ("multiperm s=2 dims=(2, 2, 2)", multiperm_quadruple,
+         (2, 2, 2, 2), {}),
+        ("tuplet t=2 kappa=2", tuplet_family, (2, 2), {}),
+        ("tuplet t=2 kappa=3", tuplet_family, (2, 3), {}),
+        ("stratified k=2 n=8 ms=(1, 4)", stratified_family,
+         (2, 8, (1, 4)), {}),
+        ("stratified k=3 n=18 ms=(1, 3, 6)", stratified_family,
+         (3, 18, (1, 3, 6)), {}),
+    )
     built = set()
 
-    def holds(out) -> str:
+    def holds(build: Callable, args: tuple, kwargs: dict) -> str:
+        out = build(*args, **kwargs)
         built.add(out.family)
         report = check_family(out, budget_cells=config.budget_cells)
         bad = [(c, v) for c, v, ok in report if not ok]
         assert not bad, f"{out.family}{out.params}: ceilings violated {bad}"
         return f"{len(report)} ceilings hold"
 
-    checks = []
-    for p in (2, 3, 5):
-        checks.append(_run_check(f"quadratic p={p}",
-                                 lambda p=p: holds(quadratic_family(p))))
-    for n in (1, 2, 3, 4):
-        checks.append(_run_check(f"cube quadruple n={n}",
-                                 lambda n=n: holds(cube_quadruple(n))))
-    for s, k1, k2 in ((1, 2, 2), (2, 2, 2)):
-        checks.append(_run_check(
-            f"grid pair explicit s={s} ({k1},{k2})",
-            lambda s=s, k1=k1, k2=k2: holds(grid_pair(s=s, k1=k1, k2=k2))))
-    for k, s in ((9, 2), (16, 1)):
-        checks.append(_run_check(f"grid pair auto k={k} s={s}",
-                                 lambda k=k, s=s: holds(grid_pair(k, s))))
-    for s, dims in ((1, (2, 1, 2)), (2, (2, 1, 2)), (2, (2, 2, 2))):
-        checks.append(_run_check(
-            f"multiperm s={s} dims={dims}",
-            lambda s=s, dims=dims: holds(multiperm_quadruple(s, *dims))))
-    for kappa in (2, 3):
-        checks.append(_run_check(
-            f"tuplet t=2 kappa={kappa}",
-            lambda kappa=kappa: holds(tuplet_family(2, kappa))))
-    for k, n, ms in ((2, 8, (1, 4)), (3, 18, (1, 3, 6))):
-        checks.append(_run_check(
-            f"stratified k={k} n={n} ms={ms}",
-            lambda k=k, n=n, ms=ms: holds(stratified_family(k, n, ms))))
+    checks = [_run_check(name, holds, *case) for name, *case in cases]
 
     def registry_covered() -> str:
         missing = sorted(set(FAMILY_BUILDERS) - built)
@@ -527,10 +526,6 @@ def _role_census(n: int) -> Counter:
 
 
 def _suite_roles(config: ExperimentConfig) -> list[CheckResult]:
-    from .bounds import role_count, role_prob, union_bound
-    from .twins import extract, is_regular_pair, parse_roles
-    from .errors import InvalidCertificateError
-
     def census_matches() -> str:
         n = 8
         census = _role_census(n)
@@ -624,9 +619,6 @@ def _suite_twins_oracle(config: ExperimentConfig) -> list[CheckResult]:
 
 
 def _suite_bounds(config: ExperimentConfig) -> list[CheckResult]:
-    from .bounds import (alpha_threshold, asymptotic_threshold,
-                         lower_bound_values, minmax_constant, theta)
-
     def thresholds() -> str:
         assert alpha_threshold(2) is None
         assert alpha_threshold(3) is None
@@ -669,9 +661,6 @@ def _suite_bounds(config: ExperimentConfig) -> list[CheckResult]:
 
 
 def _suite_lemmas(config: ExperimentConfig) -> list[CheckResult]:
-    from .bounds import (monotone_image, random_strongly_monotone,
-                         sharp_image_tables)
-
     def sharp_tables() -> str:
         for s in range(1, 7):
             result = monotone_image(*sharp_image_tables(s), s)

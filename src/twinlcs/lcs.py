@@ -254,13 +254,11 @@ def lcs_reversible(a: Word, b: Word, *, witness: bool = False,
                    budget_cells: int = DEFAULT_BUDGET_CELLS) -> ReversibleResult:
     fwd = lcs_len(a, b)
     rev = lcs_len(a, b.reversed())
-    if fwd >= rev:
-        detail = lcs_pair(a, b, witness=witness, budget_cells=budget_cells) \
-            if witness else LcsResult(fwd)
-        return ReversibleResult(fwd, "forward", detail)
-    detail = lcs_pair(a, b.reversed(), witness=witness, budget_cells=budget_cells) \
-        if witness else LcsResult(rev)
-    return ReversibleResult(rev, "reverse", detail)
+    orientation, other, length = (("forward", b, fwd) if fwd >= rev
+                                  else ("reverse", b.reversed(), rev))
+    detail = (lcs_pair(a, other, budget_cells=budget_cells) if witness
+              else LcsResult(length))
+    return ReversibleResult(length, orientation, detail)
 
 
 def lcs_multi(words: Sequence[Word], *, witness: bool = True,
@@ -283,15 +281,12 @@ def lcs_multi(words: Sequence[Word], *, witness: bool = True,
     _require_common_alphabet(words)
     if len(words) == 2 and not witness:  # bit-parallel rows, no table
         return LcsResult(lcs_len(words[0], words[1]))
-    if len(words) == 1:
-        w = words[0]
+    shortest = min(words, key=len)
+    if len(words) == 1 or not shortest:  # the answer is the shortest word
         if not witness:
-            return LcsResult(len(w))
-        return LcsResult(len(w), w, (tuple(range(len(w))),))
-    if any(len(w) == 0 for w in words):
-        if not witness:
-            return LcsResult(0)
-        return LcsResult(0, Word((), words[0].k), ((),) * len(words))
+            return LcsResult(len(shortest))
+        return LcsResult(len(shortest), shortest,
+                         (tuple(range(len(shortest))),) * len(words))
     if witness:
         cost, chain = prod(len(w) + 1 for w in words), False
     else:
@@ -345,18 +340,12 @@ def set_lcs_stats(words: Sequence[Word], t: int, *,
         table[i][i] = len(words[i])
     for i, j in combinations(range(n), 2):
         table[i][j] = table[j][i] = lcs_len(words[i], words[j])
-    if t == 1:
-        best = max(range(n), key=lambda i: len(words[i]))
-        value, subset = len(words[best]), (best,)
-    elif t == 2:
-        value, subset = -1, (0, 1)
-        for i, j in combinations(range(n), 2):
-            if table[i][j] > value:
-                value, subset = table[i][j], (i, j)
-    else:
-        spent = 0
-        value, subset = -1, tuple(range(t))
-        for combo in combinations(range(n), t):
+    spent = 0
+    value, subset = -1, ()
+    for combo in combinations(range(n), t):
+        if t <= 2:  # the table holds single lengths and pair values
+            got = table[combo[0]][combo[-1]]
+        else:
             group = [words[i] for i in combo]
             # each subset costs what the route lcs_multi picks for it
             spent += _length_cost(group)[0]
@@ -364,7 +353,7 @@ def set_lcs_stats(words: Sequence[Word], t: int, *,
                           unit="cells and chain steps")
             got = lcs_multi(group, witness=False,
                             budget_cells=budget_cells).length
-            if got > value:
-                value, subset = got, combo
+        if got > value:
+            value, subset = got, combo
     frozen = tuple(tuple(r) for r in table)
     return SetLcsStats(t, frozen, value, subset)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -279,21 +278,17 @@ class _TwinSearch:
         self.nodes = 0
         # failed[(pos, debt)]: smallest need known to fail at the state
         self.failed: dict[tuple[int, Roles], int] = {}
-        # next_at[p][c]: first index >= p holding c, else n
-        nxt = [self.n] * (self.k + 1)
-        self.next_at = [tuple(nxt)]
-        for p in range(self.n - 1, -1, -1):
-            nxt = list(nxt)
-            nxt[self.letters[p]] = p
-            self.next_at.append(tuple(nxt))
-        self.next_at.reverse()
+        # next_at[p][c]: first index >= p holding c, else n;
         # counts[p][c]: occurrences of c in letters[p:]
-        row = [0] * (self.k + 1)
-        self.counts = [tuple(row)]
+        nxt, row = [self.n] * (self.k + 1), [0] * (self.k + 1)
+        self.next_at, self.counts = [tuple(nxt)], [tuple(row)]
         for p in range(self.n - 1, -1, -1):
-            row = list(row)
+            nxt, row = list(nxt), list(row)
+            nxt[self.letters[p]] = p
             row[self.letters[p]] += 1
+            self.next_at.append(tuple(nxt))
             self.counts.append(tuple(row))
+        self.next_at.reverse()
         self.counts.reverse()
 
     def _clears(self, pos: int, debt: Roles) -> bool:
@@ -409,7 +404,6 @@ def regularize(cert: TwinCertificate, *,
 _CHUNK_LETTERS = 1 << 20
 
 
-@lru_cache(maxsize=None)
 def _ballot_slots(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Slots of the 1s and of the 2s in every ballot word of m 1s and m 2s.
 

@@ -1,7 +1,7 @@
 """Words over a finite alphabet [k] = {1, ..., k} and basic word statistics.
 
 Letters are 1-based throughout.  Binary examples written with 0/1 elsewhere are
-shifted to 1/2 on parse and can be rendered back with ``to_compact(zero_based=True)``.
+shifted to 1/2 on parse.
 """
 
 from __future__ import annotations
@@ -53,17 +53,11 @@ class Word:
     def to_text(self) -> str:
         return f"k={self.k};w=" + ",".join(str(a) for a in self.letters)
 
-    def to_compact(self, zero_based: bool = False) -> str:
-        """Digit-string form, available for alphabets of at most 9 letters.
-
-        With ``zero_based=True`` letters are printed shifted down by one
-        (the usual rendering for binary words).
-        """
-        shift = 1 if zero_based else 0
-        hi = self.k - shift
-        if hi > 9:
+    def to_compact(self) -> str:
+        """Digit-string form, available for alphabets of at most 9 letters."""
+        if self.k > 9:
             raise ValueError("compact form needs an alphabet of at most 9 digits")
-        return "".join(str(a - shift) for a in self.letters)
+        return "".join(str(a) for a in self.letters)
 
     def to_json(self) -> dict:
         return {"k": self.k, "letters": list(self.letters)}
@@ -128,8 +122,8 @@ def is_regular(w: Word, eps, max_length: int) -> RegularityReport:
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     n = len(w)
-    if max_length > n:
-        raise ValueError("pattern cap exceeds the word length")
+    if not 1 <= max_length <= n:
+        raise ValueError(f"pattern cap must lie in [1, {n}], got {max_length}")
 
     # Sorted occurrence starts, per pattern, counted per window by bisection;
     # windows are factors of w, so only patterns occurring in w can ever

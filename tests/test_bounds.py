@@ -111,16 +111,12 @@ def test_zero_tolerance_searches_terminate():
         res = alpha_threshold(k, tol=0)
         assert res.alpha == pytest.approx(alpha_threshold(k).alpha, abs=1e-9)
         assert alpha_threshold(k, tol=1e-17).alpha == res.alpha
-    assert minmax_constant(tol=0).value == pytest.approx(
-        minmax_constant().value, abs=1e-9)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
 def test_bad_tolerance_is_rejected(tol):
     with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
         alpha_threshold(4, tol=tol)
-    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
-        minmax_constant(tol=tol)
 
 
 # -- asymptotic forms ------------------------------------------------------------
@@ -223,6 +219,13 @@ def test_union_bound_frozen():
     assert union_bound(2, 2, 1) == Fraction(1, 2) + Fraction(1, 4)
 
 
+@pytest.mark.parametrize("k, n, pairs", [(0, 1, 1), (-3, 2, 2), (0, 4, 1)])
+def test_union_bound_rejects_bad_alphabet_before_empty_cases(k, n, pairs):
+    # an empty tail (2 * pairs > n) must not hide a bad alphabet
+    with pytest.raises(ValueError, match="alphabet size must be >= 1"):
+        union_bound(k, n, pairs)
+
+
 def test_union_bound_dominates_exhaustive_tail():
     counts = tail_counts(2, 8)
     total = 2 ** 8
@@ -274,13 +277,6 @@ def test_sharp_tables_hit_square():
         assert res.size == s * s
         assert res.floor == -(-s * s // 6)
         assert res.meets_floor
-
-
-def test_monotone_image_accepts_callables():
-    # triples (x, z, y + z) over the cube [3]^3: all 27 are distinct
-    res = monotone_image(lambda x, y: x, lambda x, y: y,
-                         lambda x, y: x + y, 3)
-    assert res.size == 27
 
 
 def test_monotone_image_rejects_violations():

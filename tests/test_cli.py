@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import argparse
 import doctest
 import inspect
 import json
@@ -312,11 +313,36 @@ def test_construct_set_restrict_below_one_exits_2(capsys, cap):
     assert err == f"error: set_restrict must be >= 1, got {cap}\n"
 
 
+def _subparsers(parser):
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
 def test_construct_subcommands_are_the_registry(capsys):
     with pytest.raises(SystemExit):
         main(["construct", "--help"])
     names = re.search(r"\{([a-z,]+)\}", capsys.readouterr().out).group(1)
     assert set(names.split(",")) == set(FAMILY_BUILDERS)
+    # each family's options are its builder's parameters, with their
+    # defaults, and its help shows the builder's docstring
+    families = _subparsers(_subparsers(build_parser())["construct"])
+    shared = {"help", "check", "set_restrict", *dict(_GLOBAL_DEFAULTS)}
+    for name, build in FAMILY_BUILDERS.items():
+        params = inspect.signature(build).parameters.values()
+        expected = {p.name: (p.default is p.empty,
+                             None if p.default is p.empty else p.default)
+                    for p in params}
+        options = {a.dest: (a.required, a.default)
+                   for a in families[name]._actions if a.dest not in shared}
+        assert options == expected, name
+        assert inspect.getdoc(build) in families[name].format_help(), name
+
+
+def test_construct_over_the_letter_cap_exits_3(capsys):
+    # np.indices alone would take 3 * 1009**3 int64, about 25 GB
+    code, out, err = run(capsys, "construct", "quadratic", "--p", "1009")
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded: family needs 1036488922561 ")
 
 
 # -- bounds ------------------------------------------------------------------------
@@ -377,6 +403,11 @@ def test_bound_union_count_prob(capsys):
     code, _, err = run(capsys, "bound", "prob", "--k", "2")
     assert code == 2
     assert "--roles" in err
+
+    code, out, err = run(capsys, "bound", "union", "--k", "0", "--n", "1",
+                         "--m", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: alphabet size must be >= 1, got 0\n"
 
 
 def test_bound_constants(capsys):

@@ -18,7 +18,6 @@ from twinlcs import (
     check_family,
     cube_quadruple,
     grid_pair,
-    is_prime,
     lcs_pair,
     lcs_reversible,
     multiperm_quadruple,
@@ -26,7 +25,8 @@ from twinlcs import (
     stratified_family,
     tuplet_family,
 )
-from twinlcs.constructions import _sorted_word
+from twinlcs import constructions
+from twinlcs.constructions import _is_prime, _sorted_word
 
 
 def assert_all_hold(out, **kwargs):
@@ -38,9 +38,9 @@ def assert_all_hold(out, **kwargs):
 
 
 def test_primes():
-    assert [p for p in range(2, 30) if is_prime(p)] == \
+    assert [p for p in range(2, 30) if _is_prime(p)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert not is_prime(1) and not is_prime(0)
+    assert not _is_prime(1) and not _is_prime(0) and not _is_prime(-7)
 
 
 # -- quadratic -----------------------------------------------------------------
@@ -223,6 +223,30 @@ def test_tuplet_budget_and_validation():
         tuplet_family(1, 2)
     with pytest.raises(ValueError):
         tuplet_family(2, 0)
+
+
+# -- size cap --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("build, args, kwargs", [
+    (quadratic_family, (3,), {}),
+    (cube_quadruple, (2,), {}),
+    (grid_pair, (), dict(s=2, k1=2, k2=3)),
+    (grid_pair, (9, 2), {}),
+    (multiperm_quadruple, (2, 2, 1, 2), {}),
+    (multiperm_quadruple, (1,), dict(k=4)),
+    (tuplet_family, (2, 2), {}),
+    (stratified_family, (2, 8, (1, 4)), {}),
+    (stratified_family, (3, 18, (1, 3, 6)), {}),
+])
+def test_letter_cap_counts_every_letter(monkeypatch, build, args, kwargs):
+    # families whose words are not trimmed, so the words hold every letter
+    letters = sum(map(len, build(*args, **kwargs).words))
+    monkeypatch.setattr(constructions, "_MAX_LETTERS", letters)
+    build(*args, **kwargs)
+    monkeypatch.setattr(constructions, "_MAX_LETTERS", letters - 1)
+    with pytest.raises(BudgetError, match=f"needs {letters} letters"):
+        build(*args, **kwargs)
 
 
 # -- stratified ------------------------------------------------------------------

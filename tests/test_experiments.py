@@ -226,6 +226,8 @@ def test_pairwise_lcs_table():
     assert table[0, 5] == table[1, 3] == table[2, 4] == 1
     with pytest.raises(BudgetError):
         pairwise_lcs_table(7)
+    with pytest.raises(ValueError, match="alphabet size must be >= 1"):
+        pairwise_lcs_table(0)
 
 
 def test_pairwise_lcs_table_k6_digest():

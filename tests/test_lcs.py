@@ -282,6 +282,9 @@ def test_set_stats():
     assert stats.best_subset == (0, 2)
     assert stats.pairwise[0][1] == 1
     assert stats.pairwise[0][0] == 3  # diagonal holds the word length
+    # t = 1 takes the longest word, the first of equals
+    assert set_lcs_stats(ws + [Word((1,), 3)], 1).best_subset == (0,)
+    assert set_lcs_stats(ws, 1).value == 3
     # t = 3 takes the single triple
     assert set_lcs_stats(ws, 3).value == brute_lcs_multi(
         [w.letters for w in ws])

@@ -257,6 +257,22 @@ def test_oracle_table_cache_stays_within_budget(monkeypatch):
                        for ones, twos in twins._TABLES.values()) <= 1000
 
 
+def test_oracle_keeps_no_memory_once_its_tables_are_dropped(monkeypatch):
+    # uu has twins of length n/2 = 11, so only the m = 11 table is built;
+    # its ballot slots must not outlive it in a cache of their own
+    monkeypatch.setattr(twins, "_TABLES", {})
+    u = (1, 2, 1, 1, 2, 2, 1, 2, 1, 1, 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert lt_oracle(Word(u + u, 2), max_length=22) == 11
+        twins._TABLES.clear()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 0.1 * 2**20, kept
+
+
 # -- canonical certificates -----------------------------------------------------
 
 

@@ -66,7 +66,6 @@ def test_parse_word_forms():
 def test_compact_rendering():
     w = Word((1, 2, 2, 1), 2)
     assert w.to_compact() == "1221"
-    assert w.to_compact(zero_based=True) == "0110"
     with pytest.raises(ValueError):
         Word((1,), 10).to_compact()
 
@@ -134,3 +133,9 @@ def test_regularity_validation():
         is_regular(w, Fraction(3, 2), 1)
     with pytest.raises(ValueError):
         is_regular(w, Fraction(1, 2), 5)
+    # a cap below 1 checks no pattern, so it could only ever say "regular"
+    irregular = Word((1, 2, 1, 2, 2, 1, 1, 1, 1, 1, 2, 2), 2)
+    assert not is_regular(irregular, Fraction(1, 4), 1)
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="pattern cap must lie in"):
+            is_regular(irregular, Fraction(1, 4), cap)

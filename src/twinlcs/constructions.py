@@ -3,18 +3,22 @@
 All families but the stratified one come from one mechanism: give each
 (letter, copy) position an integer key vector and read the letters in
 increasing key order.  A builder takes the coordinates of its box from
-``np.indices``, numbers the letters by arithmetic on them, writes each
-key coordinate as one array, most significant first, and a single
-``np.lexsort`` orders every position; equal key vectors raise
-ValueError.  Negating every key reverses the word exactly, and deleting
-letters never increases any common-subsequence value, which is how
-instances restricted to their first k letters inherit their ceilings.
+``np.indices`` (the tuplet family, whose coordinates can outnumber the
+axes numpy allows, by row-major arithmetic on the letter index), numbers
+the letters by arithmetic on them, writes each key coordinate as one
+array, most significant first, and a single ``np.lexsort`` orders every
+position; equal key vectors raise ValueError.  Negating every key
+reverses the word exactly, and deleting letters never increases any
+common-subsequence value, which is how instances restricted to their
+first k letters inherit their ceilings.
 
 Each builder returns a :class:`FamilyOutput` carrying the words plus
 the list of certified ceilings (pairwise LCS, LCS against a reversed
 partner, or joint LCS of a subset).  ``check_family`` recomputes every
 ceiling with the LCS engine.  A family of more than four million letters
-in all raises BudgetError before anything is built.
+in all raises BudgetError before anything is built, and so does a tuplet
+family whose key table for one word, or whose list of ceilings, holds
+more than four million entries.
 """
 
 from __future__ import annotations
@@ -39,9 +43,9 @@ from .words import Word
 _MAX_LETTERS = 4 * 10**6
 
 
-def _check_letters(letters: int) -> None:
-    if letters > _MAX_LETTERS:
-        raise BudgetError(f"family needs {letters} letters, over the cap "
+def _check_letters(count: int, unit: str = "letters") -> None:
+    if count > _MAX_LETTERS:
+        raise BudgetError(f"family needs {count} {unit}, over the cap "
                           f"{_MAX_LETTERS}")
 
 
@@ -305,11 +309,21 @@ def tuplet_family(t: int, kappa: int) -> FamilyOutput:
         raise ValueError(f"tuplet order must be >= 2, got {t}")
     if kappa < 1:
         raise ValueError(f"coordinate range must be >= 1, got {kappa}")
-    subsets = list(itertools.combinations(range(1, 2 * t), t))
-    size = kappa ** len(subsets)
+    coordinates = math.comb(2 * t - 1, t)
+    # with kappa >= 2 a box of cap.bit_length() coordinates is already over
+    # the cap, so no larger power is formed; the count then is a lower bound
+    size = 1 if kappa == 1 else kappa ** min(coordinates,
+                                             _MAX_LETTERS.bit_length())
     _check_letters(2 * t * size)
-    axes = np.indices((kappa,) * len(subsets))
-    letters = 1 + np.arange(size)
+    # each word sorts a key table of one entry per coordinate and letter,
+    # and each of the C(2t, t) ceilings lists t words
+    _check_letters(coordinates * size, "key entries per word")
+    _check_letters(t * math.comb(2 * t, t), "ceiling indices")
+    index = np.arange(size)
+    axes = [index // kappa ** (coordinates - 1 - j) % kappa
+            for j in range(coordinates)]  # row-major, as np.indices
+    letters = 1 + index
+    subsets = list(itertools.combinations(range(1, 2 * t), t))
     signs_per_word = [[-1] * len(subsets)]
     for i in range(1, 2 * t):
         signs_per_word.append([1 if i in I else -1 for I in subsets])

@@ -176,7 +176,7 @@ def estimate_lt_tail(k: int, n: int, alpha: float,
         trials = config.trials
         words = (sample_word(k, n, config.seed, index=trial)
                  for trial in range(trials))
-    hits = sum(_TwinSearch(word, config.budget_nodes).find(0, (), m)
+    hits = sum(_TwinSearch(word, config.budget_nodes).find(m)
                is not None for word in words)
     p = hits / trials
     lo, hi = (p, p) if exhaustive else wilson_interval(hits, trials)

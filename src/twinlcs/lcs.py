@@ -261,6 +261,18 @@ def lcs_reversible(a: Word, b: Word, *, witness: bool = False,
     return ReversibleResult(length, orientation, detail)
 
 
+def _joint_length(words: Sequence[Word], cost: int, chain: bool,
+                  budget_cells: int) -> int:
+    """Joint LCS length of three or more words by the route and charge
+    that ``_length_cost`` gave for them."""
+    if chain:
+        _check_budget(cost, budget_cells, f"{len(words)}-way match-point chain",
+                      unit="steps (match points squared)")
+        return _chain_length(words)
+    _check_budget(cost, budget_cells, f"{len(words)}-way alignment")
+    return _suffix_table(words).item((0,) * len(words))
+
+
 def lcs_multi(words: Sequence[Word], *, witness: bool = True,
               budget_cells: int = DEFAULT_BUDGET_CELLS) -> LcsResult:
     """Joint LCS of two or more words, with the leftmost-greedy witness
@@ -287,23 +299,17 @@ def lcs_multi(words: Sequence[Word], *, witness: bool = True,
             return LcsResult(len(shortest))
         return LcsResult(len(shortest), shortest,
                          (tuple(range(len(shortest))),) * len(words))
-    if witness:
-        cost, chain = prod(len(w) + 1 for w in words), False
-    else:
-        cost, chain = _length_cost(words)
-    if chain:
-        _check_budget(cost, budget_cells, f"{len(words)}-way match-point chain",
-                      unit="steps (match points squared)")
-        return LcsResult(_chain_length(words))
+    if not witness:
+        return LcsResult(_joint_length(words, *_length_cost(words),
+                                       budget_cells))
     # only a two-word witness has a length-only route with no budget
-    _check_budget(cost, budget_cells, f"{len(words)}-way alignment",
+    _check_budget(prod(len(w) + 1 for w in words), budget_cells,
+                  f"{len(words)}-way alignment",
                   length_only_helps=len(words) == 2)
     if len(words) == 2:
         value = _pair_suffix(words[0], words[1])
     else:
         value = _suffix_table(words).item
-        if not witness:
-            return LcsResult(value((0,) * len(words)))
     indices = _walk_witness(words, value)
     common = Word(tuple(words[0][i] for i in indices[0]), words[0].k)
     return LcsResult(len(indices[0]), common, indices)
@@ -348,11 +354,11 @@ def set_lcs_stats(words: Sequence[Word], t: int, *,
         else:
             group = [words[i] for i in combo]
             # each subset costs what the route lcs_multi picks for it
-            spent += _length_cost(group)[0]
+            cost, chain = _length_cost(group)
+            spent += cost
             _check_budget(spent, budget_cells, f"joint LCS over {t}-subsets",
                           unit="cells and chain steps")
-            got = lcs_multi(group, witness=False,
-                            budget_cells=budget_cells).length
+            got = _joint_length(group, cost, chain, budget_cells)
         if got > value:
             value, subset = got, combo
     frozen = tuple(tuple(r) for r in table)

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetError, InvalidCertificateError
-from .lcs import DEFAULT_BUDGET_CELLS, lcs_len, lcs_pair
+from .lcs import DEFAULT_BUDGET_CELLS, _check_budget, lcs_len, lcs_pair
 from .words import Word
 
 Roles = tuple[int, ...]
@@ -264,56 +264,73 @@ def is_regular_pair(word: Word, roles: Roles) -> bool:
 class _TwinSearch:
     """Target-directed search over (position, owed letters) states.
 
-    The state after scanning a prefix is the queue of letters marked 1
-    but not yet matched by a 2 (first in, first out).  ``find`` asks
-    for a role suffix that places a given number of further 1s and
-    empties the queue by the end of the word.
+    The state after scanning a prefix is the queue ``debt`` of letters
+    marked 1 but not yet matched by a 2 (first in, first out).  ``find``
+    asks for a role word that places a given number of pairs and empties
+    the queue by the end of the word.
+
+    Each state also carries two integers, handed down from its parent in
+    O(1), that decide whether it can still succeed:
+
+    - ``end``: the index just past the greedy match of the owed letters
+      in letters[pos:], or n + 1 when they cannot all be matched (pos
+      when nothing is owed).  The debt can be cleared iff end <= n.
+    - ``slack``: the sum over letters c of (c's left in letters[pos:]
+      minus c's owed) // 2.  A further pair takes two copies of one
+      letter that are not owed, so at most ``slack`` more pairs fit.
+      When end <= n it is also at most half of the n - pos - len(debt)
+      free positions, so it stands in for that bound too.
+
+    Reading letter c at pos:
+
+    - role 2 (c heads the queue) keeps both, since the greedy match took
+      the head at pos;
+    - role 0 keeps ``end`` unless c heads the queue, which is then
+      matched again from pos + 1 (an empty queue gives pos + 1).  With
+      ``avail`` the count of c left minus the count owed, ``slack``
+      changes by (avail - 1) // 2 - avail // 2: it drops by one when
+      ``avail`` is even;
+    - role 1 appends c to the queue, whose greedy match continues from
+      the role-0 child's end, at next_at[end0][c] + 1.  One c fewer is
+      left and one more is owed, so ``slack`` drops by one.
     """
 
     def __init__(self, word: Word, budget_nodes: int = DEFAULT_NODE_BUDGET):
-        self.letters = word.letters
-        self.n = len(word.letters)
-        self.k = word.k
+        self.letters = letters = word.letters
+        self.n = n = len(letters)
         self.budget_nodes = budget_nodes
         self.nodes = 0
-        # failed[(pos, debt)]: smallest need known to fail at the state
-        self.failed: dict[tuple[int, Roles], int] = {}
-        # next_at[p][c]: first index >= p holding c, else n;
-        # counts[p][c]: occurrences of c in letters[p:]
-        nxt, row = [self.n] * (self.k + 1), [0] * (self.k + 1)
-        self.next_at, self.counts = [tuple(nxt)], [tuple(row)]
-        for p in range(self.n - 1, -1, -1):
-            nxt, row = list(nxt), list(row)
-            nxt[self.letters[p]] = p
-            row[self.letters[p]] += 1
+        # failed[pos][debt]: smallest need known to fail at the state
+        self.failed: list[dict[Roles, int]] = [{} for _ in range(n + 1)]
+        # next_at[p][c]: first index >= p holding c, else n (rows n and
+        # n + 1 are all n, so an unmatched debt stays at n + 1);
+        # left[p]: occurrences of letters[p] in letters[p:]
+        nxt, seen = [n] * (word.k + 1), [0] * (word.k + 1)
+        self.next_at = [tuple(nxt)] * 2
+        self.left = [0] * n
+        for p in range(n - 1, -1, -1):
+            c = letters[p]
+            nxt[c] = p
+            seen[c] += 1
+            self.left[p] = seen[c]
             self.next_at.append(tuple(nxt))
-            self.counts.append(tuple(row))
         self.next_at.reverse()
-        self.counts.reverse()
+        self.root_slack = sum(count // 2 for count in seen)
 
-    def _clears(self, pos: int, debt: Roles) -> bool:
-        """Can the owed letters be matched, in order, within letters[pos:]?"""
-        p = pos
+    def greedy_end(self, pos: int, debt: Roles) -> int:
+        """Index just past the greedy match of ``debt`` in letters[pos:],
+        or n + 1 when it cannot be matched."""
         for c in debt:
-            p = self.next_at[p][c]
-            if p >= self.n:
-                return False
-            p += 1
-        return True
+            pos = self.next_at[pos][c] + 1
+        return pos
 
-    def _fits(self, pos: int, debt: Roles, need: int) -> bool:
-        """Do ``need`` further pairs fit the global and per-letter slack?"""
-        if need > (self.n - pos - len(debt)) // 2:
-            return False
-        counts = self.counts[pos]
-        per_letter = 0
-        for c in range(1, self.k + 1):
-            avail = counts[c] - debt.count(c)
-            if avail >= 2:
-                per_letter += avail // 2
-        return need <= per_letter
+    def find(self, need: int) -> Optional[Roles]:
+        """Lexicographically smallest monotone role word with exactly
+        ``need`` pairs, or None."""
+        return self._find(0, (), need, 0, self.root_slack)
 
-    def find(self, pos: int, debt: Roles, need: int) -> Optional[Roles]:
+    def _find(self, pos: int, debt: Roles, need: int, end: int,
+              slack: int) -> Optional[Roles]:
         """Lexicographically smallest role suffix for letters[pos:] that
         places exactly ``need`` more pairs and clears ``debt``, or None.
 
@@ -323,8 +340,8 @@ class _TwinSearch:
         any completion leaves one with a pair fewer, so every larger
         ``need`` fails there too.
         """
-        key = (pos, debt)
-        if need >= self.failed.get(key, need + 1):
+        failed = self.failed[pos]
+        if need >= failed.get(debt, need + 1):
             return None
         self.nodes += 1
         if self.nodes > self.budget_nodes:
@@ -332,20 +349,25 @@ class _TwinSearch:
                 f"twin search exceeded {self.budget_nodes} states")
         if not debt and not need:  # only zeros remain, also at pos == n
             return (0,) * (self.n - pos)
-        if self._clears(pos, debt) and self._fits(pos, debt, need):
+        if end <= self.n and need <= slack:
             c = self.letters[pos]
-            found = self.find(pos + 1, debt, need)
+            avail = self.left[pos] - debt.count(c)
+            end0 = (end if debt and debt[0] != c
+                    else self.greedy_end(pos + 1, debt))
+            found = self._find(pos + 1, debt, need, end0,
+                               slack - 1 + (avail & 1))
             if found is not None:
                 return (0,) + found
             if need:
-                found = self.find(pos + 1, debt + (c,), need - 1)
+                found = self._find(pos + 1, debt + (c,), need - 1,
+                                   self.next_at[end0][c] + 1, slack - 1)
                 if found is not None:
                     return (1,) + found
             if debt and debt[0] == c:
-                found = self.find(pos + 1, debt[1:], need)
+                found = self._find(pos + 1, debt[1:], need, end, slack)
                 if found is not None:
                     return (2,) + found
-        self.failed[key] = need
+        failed[debt] = need
         return None
 
 
@@ -362,7 +384,7 @@ def lt_exact(word: Word, *, max_length: int = DEFAULT_EXACT_LENGTH,
             f"exact search supports length <= {max_length}, got {len(word)}")
     search = _TwinSearch(word, budget_nodes)
     need, best = 0, None
-    while (roles := search.find(0, (), need)) is not None:
+    while (roles := search.find(need)) is not None:
         need, best = need + 1, roles
     return extract(word, best)
 
@@ -374,7 +396,7 @@ def minimal_certificate(word: Word, length: int, *,
     ``length`` pairs; raises ValueError when none exists."""
     if length < 0:
         raise ValueError("twin length must be nonnegative")
-    roles = _TwinSearch(word, budget_nodes).find(0, (), length)
+    roles = _TwinSearch(word, budget_nodes).find(length)
     if roles is None:
         raise ValueError(f"no twins of length {length} in {word.to_text()}")
     return extract(word, roles)
@@ -549,7 +571,8 @@ def split_upper_bound(word: Word) -> int:
     For any split w = xy, pairs inside x are at most the trivial bound
     for x, pairs inside y likewise, and pairs crossing the split read
     off a common subsequence of x and y.  Minimizing over splits keeps
-    the bound sound.
+    the bound sound.  The n - 1 split LCS rows fill (n^3 - n) / 6 cells
+    in all, charged against ``DEFAULT_BUDGET_CELLS`` before the first.
     """
 
     def cheap(lo: int, hi: int) -> int:
@@ -559,6 +582,7 @@ def split_upper_bound(word: Word) -> int:
         return min((hi - lo) // 2, sum(v // 2 for v in counts.values()))
 
     n = len(word)
+    _check_budget((n ** 3 - n) // 6, DEFAULT_BUDGET_CELLS, "split_upper_bound")
     best = cheap(0, n)
     for s in range(1, n):
         head = Word(word.letters[:s], word.k)
@@ -654,7 +678,7 @@ def random_monotone_certificate(word: Word,
     least one pair lands.
     """
     n = len(word)
-    search = _TwinSearch(word)  # reused for its next-occurrence table
+    search = _TwinSearch(word)  # reused for its greedy matching
     for _ in range(_MONOTONE_TRIES):
         debt: Roles = ()
         roles = []
@@ -662,11 +686,12 @@ def random_monotone_certificate(word: Word,
         for pos in range(n):
             c = word[pos]
             options = []
-            if search._clears(pos + 1, debt):
+            if search.greedy_end(pos + 1, debt) <= n:
                 options.append((0, debt))
-            if search._clears(pos + 1, debt + (c,)):
+            if search.greedy_end(pos + 1, debt + (c,)) <= n:
                 options.append((1, debt + (c,)))
-            if debt and debt[0] == c and search._clears(pos + 1, debt[1:]):
+            if (debt and debt[0] == c
+                    and search.greedy_end(pos + 1, debt[1:]) <= n):
                 options.append((2, debt[1:]))
             role, debt = options[int(rng.integers(len(options)))]
             if role == 1:

@@ -175,6 +175,92 @@ def lexmin_monotone_roles(letters: Sequence[int],
     return dfs(0, deque(), 0, [])
 
 
+class SearchBudgetExceeded(Exception):
+    """The reference twin search visited more states than its budget."""
+
+
+class ReferenceTwinSearch:
+    """The twin search over (position, owed letters) states, with every
+    feasibility test recomputed from the state at every node.
+
+    Same states, memo and role order as the package's search, so the two
+    must agree on roles and on the node count of every query.
+    ``_clears`` walks the whole owed queue and ``_fits`` counts each
+    letter of it afresh, which is what the package's search avoids.
+    """
+
+    def __init__(self, letters: Sequence[int], k: int, budget_nodes: int):
+        self.letters = tuple(letters)
+        self.n = len(self.letters)
+        self.k = k
+        self.budget_nodes = budget_nodes
+        self.nodes = 0
+        # failed[(pos, debt)]: smallest need known to fail at the state
+        self.failed: dict[tuple[int, tuple[int, ...]], int] = {}
+        # next_at[p][c]: first index >= p holding c, else n;
+        # counts[p][c]: occurrences of c in letters[p:]
+        nxt, row = [self.n] * (k + 1), [0] * (k + 1)
+        self.next_at, self.counts = [tuple(nxt)], [tuple(row)]
+        for p in range(self.n - 1, -1, -1):
+            nxt, row = list(nxt), list(row)
+            nxt[self.letters[p]] = p
+            row[self.letters[p]] += 1
+            self.next_at.append(tuple(nxt))
+            self.counts.append(tuple(row))
+        self.next_at.reverse()
+        self.counts.reverse()
+
+    def _clears(self, pos: int, debt: tuple[int, ...]) -> bool:
+        """Can the owed letters be matched, in order, within letters[pos:]?"""
+        p = pos
+        for c in debt:
+            p = self.next_at[p][c]
+            if p >= self.n:
+                return False
+            p += 1
+        return True
+
+    def _fits(self, pos: int, debt: tuple[int, ...], need: int) -> bool:
+        """Do ``need`` further pairs fit the global and per-letter slack?"""
+        if need > (self.n - pos - len(debt)) // 2:
+            return False
+        counts = self.counts[pos]
+        per_letter = 0
+        for c in range(1, self.k + 1):
+            avail = counts[c] - debt.count(c)
+            if avail >= 2:
+                per_letter += avail // 2
+        return need <= per_letter
+
+    def find(self, pos: int, debt: tuple[int, ...],
+             need: int) -> Optional[tuple[int, ...]]:
+        """Lexicographically smallest role suffix for letters[pos:] that
+        places exactly ``need`` more pairs and clears ``debt``, or None."""
+        key = (pos, debt)
+        if need >= self.failed.get(key, need + 1):
+            return None
+        self.nodes += 1
+        if self.nodes > self.budget_nodes:
+            raise SearchBudgetExceeded(self.budget_nodes)
+        if not debt and not need:  # only zeros remain, also at pos == n
+            return (0,) * (self.n - pos)
+        if self._clears(pos, debt) and self._fits(pos, debt, need):
+            c = self.letters[pos]
+            found = self.find(pos + 1, debt, need)
+            if found is not None:
+                return (0,) + found
+            if need:
+                found = self.find(pos + 1, debt + (c,), need - 1)
+                if found is not None:
+                    return (1,) + found
+            if debt and debt[0] == c:
+                found = self.find(pos + 1, debt[1:], need)
+                if found is not None:
+                    return (2,) + found
+        self.failed[key] = need
+        return None
+
+
 def monotone_role_words(n: int, m: int
                         ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Every monotone role word of length n with m pairs, as the pair

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -219,10 +220,25 @@ def test_tuplet_t3_full_alphabet():
 def test_tuplet_budget_and_validation():
     with pytest.raises(BudgetError):
         tuplet_family(3, 4)  # 4^C(5,3) letters exceed the default cap
+    # 2^35 letters per word: refused before any power that large is formed
+    with pytest.raises(BudgetError, match="letters, over the cap"):
+        tuplet_family(4, 2)
+    # one letter per word, but C(39, 20) key coordinates for it
+    with pytest.raises(BudgetError, match="needs 68923264410 key entries"):
+        tuplet_family(20, 1)
     with pytest.raises(ValueError):
         tuplet_family(1, 2)
     with pytest.raises(ValueError):
         tuplet_family(2, 0)
+
+
+def test_tuplet_with_unit_range_builds_past_64_coordinates():
+    # C(9, 5) = 126 coordinates, more axes than np.indices allows
+    out = tuplet_family(5, 1)
+    assert [w.letters for w in out.words] == [(1,)] * 10
+    report = assert_all_hold(out)
+    assert len(report) == math.comb(10, 5)
+    assert {value for _, value, _ in report} == {1}
 
 
 # -- size cap --------------------------------------------------------------------

@@ -23,6 +23,7 @@ from twinlcs import (
     set_lcs_stats,
     substream,
 )
+from twinlcs import lcs
 from twinlcs.lcs import _chain_length, _length_cost
 
 pairs = st.integers(2, 4).flatmap(
@@ -254,6 +255,18 @@ def test_length_route_follows_the_cost():
 def test_set_stats_cube_quadruple_past_the_dense_budget():
     # four 1331-letter permutations: 2.4e9 dense cells, 1331^2 chain steps
     assert set_lcs_stats(cube_quadruple(11).words, 3).value == 1
+
+
+def test_set_stats_costs_each_subset_once(monkeypatch):
+    calls = []
+    counted = lcs._length_cost
+    monkeypatch.setattr(lcs, "_length_cost",
+                        lambda words: calls.append(1) or counted(words))
+    stats = set_lcs_stats(cube_quadruple(5).words, 3)
+    assert len(calls) == 4  # one per 3-subset of the four words
+    assert stats.pairwise == tuple(
+        tuple(125 if i == j else 5 for j in range(4)) for i in range(4))
+    assert (stats.value, stats.best_subset) == (1, (0, 1, 2))
 
 
 def test_multi_witness():

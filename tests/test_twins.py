@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_twins, lexmin_monotone_roles, monotone_role_words
+from oracles import (ReferenceTwinSearch, SearchBudgetExceeded, brute_twins,
+                     lexmin_monotone_roles, monotone_role_words)
 from twinlcs import (
     BudgetError,
     InvalidCertificateError,
@@ -37,7 +38,8 @@ from twinlcs import (
     twins_via_runs,
 )
 from twinlcs import twins
-from twinlcs.twins import _ballot_tables, _oracle_lengths
+from twinlcs.twins import (DEFAULT_NODE_BUDGET, _ballot_tables,
+                           _oracle_lengths, _TwinSearch)
 
 words = st.integers(2, 3).flatmap(
     lambda k: st.lists(st.integers(1, k), max_size=9).map(
@@ -176,6 +178,66 @@ def test_regression_example_word():
     assert cert.length == 7
     assert roles_to_text(cert.roles) == "0120111211221222"
     assert lt_oracle(w, max_length=16) == 7
+
+
+# -- the search against its reference -------------------------------------------
+
+
+def _answers(search_for, ask, out_of_states):
+    """Ask a search for 0, 1, 2, ... pairs until none is found: the roles
+    and the node count after each query, then "budget" if the search ran
+    out of states.  ``search_for(need)`` gives the search to ask."""
+    out = []
+    for need in itertools.count():
+        search = search_for(need)
+        try:
+            roles = ask(search, need)
+        except out_of_states:
+            return out + ["budget"]
+        out.append((roles, search.nodes))
+        if roles is None:
+            return out
+
+
+def assert_matches_reference(letters, k, budget=DEFAULT_NODE_BUDGET):
+    """Same roles, node counts and budget failures as the reference
+    search, on a fresh search per query and on one search reused."""
+    word = Word(tuple(letters), k)
+    ours = _TwinSearch(word, budget)
+    ref = ReferenceTwinSearch(letters, k, budget)
+    for reuse in (False, True):
+        got = _answers(
+            lambda need: ours if reuse else _TwinSearch(word, budget),
+            lambda search, need: search.find(need), BudgetError)
+        want = _answers(
+            lambda need: (ref if reuse
+                          else ReferenceTwinSearch(letters, k, budget)),
+            lambda search, need: search.find(0, (), need),
+            SearchBudgetExceeded)
+        assert got == want, (letters, reuse)
+
+
+@pytest.mark.parametrize("k, longest", [(2, 12), (3, 8), (4, 6)])
+def test_search_matches_reference_exhaustive(k, longest):
+    for n in range(longest + 1):
+        for letters in itertools.product(range(1, k + 1), repeat=n):
+            assert_matches_reference(letters, k)
+
+
+@given(st.integers(2, 8).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.integers(1, k), max_size=24),
+    st.integers(0, 300) | st.just(DEFAULT_NODE_BUDGET))))
+def test_search_matches_reference_random(case):
+    k, letters, budget = case
+    assert_matches_reference(letters, k, budget)
+
+
+def test_search_budget_stops_both_on_the_same_query():
+    letters = sample_word(3, 24, 7).letters
+    for budget in (0, 1, 5, 40):
+        assert_matches_reference(letters, 3, budget)
+    with pytest.raises(BudgetError):
+        _TwinSearch(Word(letters, 3), 40).find(8)
 
 
 # -- the enumeration oracle -----------------------------------------------------
@@ -356,6 +418,20 @@ def test_split_upper_bound_sound(w):
 def test_split_upper_bound_example():
     assert split_upper_bound(parse_word("1212")) == 2
     assert split_upper_bound(parse_word("123123")) <= 3
+
+
+def test_split_upper_bound_budget():
+    # length 40 fills 10660 cells, far below the budget; values pinned
+    assert [split_upper_bound(sample_word(k, 40, 11, index=i))
+            for k in (2, 3, 4, 8) for i in range(3)] == [
+        19, 19, 20, 20, 20, 20, 19, 19, 18, 17, 17, 18]
+    # (n^3 - n) / 6 cells: n = 843 fits the budget of 10^8, n = 844 not
+    with pytest.raises(BudgetError, match="^split_upper_bound needs 100201790 "
+                                          "alignment cells, over the budget "
+                                          "of 100000000"):
+        split_upper_bound(sample_word(4, 844, 0))
+    with pytest.raises(BudgetError, match="needs 4499999500 alignment cells"):
+        split_upper_bound(sample_word(2, 3000, 0))
 
 
 def test_twins_via_blocks():

@@ -281,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "chain steps for joint lengths")
     common.add_argument("--budget-nodes", type=int, default=argparse.SUPPRESS,
                         help="cap on twin search states, per searched "
-                        "word")
+                        "word; each state keeps about 100-130 bytes of "
+                        "failure memo, so the default can hold about "
+                        "0.6 GB")
     common.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS,
                         help="emit one JSON document")

@@ -61,14 +61,15 @@ def _sorted_word(letters: np.ndarray, keys: Sequence[np.ndarray],
                  k: int) -> Word:
     """The letters up to k, read in increasing order of their key vectors.
 
-    ``letters`` and every array of ``keys`` (one per key coordinate, most
-    significant first) hold one entry per position, in the same row-major
-    order.  Equal key vectors would leave the order open, so they raise
-    ValueError.
+    ``letters`` and every row of ``keys`` (one per key coordinate, most
+    significant first: a sequence of equal-shaped arrays or one array
+    with the coordinates first) hold one entry per position, in the
+    same row-major order.  Equal key vectors would leave the order
+    open, so they raise ValueError.
     """
-    columns = [np.ravel(key) for key in keys]
+    columns = np.reshape(keys, (len(keys), -1))
     order = np.lexsort(columns[::-1])
-    ranked = np.stack([column[order] for column in columns])
+    ranked = columns[:, order]
     tied = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).all(axis=0))
     if tied.size:
         key = tuple(ranked[:, tied[0]].tolist())
@@ -320,16 +321,17 @@ def tuplet_family(t: int, kappa: int) -> FamilyOutput:
     _check_letters(coordinates * size, "key entries per word")
     _check_letters(t * math.comb(2 * t, t), "ceiling indices")
     index = np.arange(size)
-    axes = [index // kappa ** (coordinates - 1 - j) % kappa
-            for j in range(coordinates)]  # row-major, as np.indices
+    # one row per coordinate, row-major as np.indices
+    powers = kappa ** np.arange(coordinates - 1, -1, -1)
+    axes = index // powers[:, None] % kappa
     letters = 1 + index
-    subsets = list(itertools.combinations(range(1, 2 * t), t))
-    signs_per_word = [[-1] * len(subsets)]
-    for i in range(1, 2 * t):
-        signs_per_word.append([1 if i in I else -1 for I in subsets])
-    words = tuple(_sorted_word(letters, [sign * axis for sign, axis
-                                         in zip(signs, axes)], size)
-                  for signs in signs_per_word)
+    # bit i of a subset's mask is set when word i sorts it ascending; no
+    # subset holds 0, so word 0 sorts every coordinate descending
+    subsets = np.array(list(itertools.combinations(range(1, 2 * t), t)))
+    masks = (1 << subsets).sum(axis=1)
+    signs = np.where(masks >> np.arange(2 * t)[:, None] & 1, 1, -1)
+    words = tuple(_sorted_word(letters, row[:, None] * axes, size)
+                  for row in signs)
     ceilings = tuple(Ceiling(subset, "set", kappa)
                      for subset in itertools.combinations(range(2 * t), t))
     return FamilyOutput("tuplet", (("t", t), ("kappa", kappa)),

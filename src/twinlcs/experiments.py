@@ -189,7 +189,6 @@ def estimate_lt_tail(k: int, n: int, alpha: float,
 # -- distributions on permutations and the expected-LCS form ------------------
 
 
-@lru_cache(maxsize=None)
 def permutations_of(k: int) -> tuple[tuple[int, ...], ...]:
     """All permutations of [k] in lexicographic order."""
     if k < 1:
@@ -207,18 +206,6 @@ def _lis(seq: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _lcs_table_cached(k: int) -> np.ndarray:
-    perms = permutations_of(k)
-    lis = {p: _lis(p) for p in perms}
-    table = np.empty((len(perms), len(perms)), dtype=np.int16)
-    for i, p in enumerate(perms):
-        inverse = [p.index(x) + 1 for x in range(1, k + 1)]
-        # permutations(inverse) yields inverse o pi_j for every j in order
-        table[i] = list(map(lis.__getitem__, itertools.permutations(inverse)))
-    table.setflags(write=False)
-    return table
-
-
 def pairwise_lcs_table(k: int) -> np.ndarray:
     """Symmetric k! x k! table of LCS values between permutations of [k]
     in lexicographic order.  Capped: the table is quadratic in k!.
@@ -228,13 +215,22 @@ def pairwise_lcs_table(k: int) -> np.ndarray:
     composition up by its tuple, so the table costs O(k! k log k) for the
     LIS values plus k!^2 lookups of k-tuples, O(k!^2 k) in all, with
     O(k! k) working memory (k = 6: 518k lookups, about 0.1 s of CPU on
-    one core of a 2-core Xeon VM).
+    one core of a 2-core Xeon VM).  The read-only table is kept for the
+    life of the process; a call over the cap raises and caches nothing.
     """
     if k > MAX_TABLE_K:
         raise BudgetError(
             f"pairwise LCS table needs {math.factorial(k)}^2 entries; "
             f"cap is k <= {MAX_TABLE_K}")
-    return _lcs_table_cached(k)
+    perms = permutations_of(k)
+    lis = {p: _lis(p) for p in perms}
+    table = np.empty((len(perms), len(perms)), dtype=np.int16)
+    for i, p in enumerate(perms):
+        inverse = [p.index(x) + 1 for x in range(1, k + 1)]
+        # permutations(inverse) yields inverse o pi_j for every j in order
+        table[i] = list(map(lis.__getitem__, itertools.permutations(inverse)))
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -295,9 +291,13 @@ def expected_lcs(dist: PermutationDistribution) -> Union[Fraction, float]:
 # -- conjecture minimization ---------------------------------------------------
 
 
-def _local_minimum(table: np.ndarray, start: np.ndarray, *,
-                   tol: float = 1e-12,
-                   max_sweeps: int = 500) -> tuple[float, np.ndarray]:
+# the descent stops after a sweep with no gain above _DESCENT_TOL
+_DESCENT_TOL = 1e-12
+_MAX_SWEEPS = 500
+
+
+def _local_minimum(table: np.ndarray,
+                   start: np.ndarray) -> tuple[float, np.ndarray]:
     """Pairwise-exchange descent for p^T A p over the simplex.
 
     Each move shifts mass between two coordinates; the quadratic in the
@@ -313,7 +313,7 @@ def _local_minimum(table: np.ndarray, start: np.ndarray, *,
     size = len(p)
     ap = a @ p
     diag = np.diagonal(a)
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         improved = False
         for i in range(size):
             cs = a[i, i] + diag[i + 1:] - 2.0 * a[i, i + 1:]
@@ -333,7 +333,7 @@ def _local_minimum(table: np.ndarray, start: np.ndarray, *,
                 best = np.minimum(np.minimum(2.0 * lo * g + lo * lo * c,
                                              2.0 * hi * g + hi * hi * c),
                                   2.0 * t * g + t * t * c)
-                better = (best < -tol).tolist()
+                better = (best < -_DESCENT_TOL).tolist()
                 if True not in better:
                     break
                 j += better.index(True)

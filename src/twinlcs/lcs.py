@@ -104,15 +104,18 @@ def _pair_suffix(a: Word, b: Word) -> Callable[[tuple[int, ...]], int]:
     return lambda v: (rows[v[1]] & ((1 << (n - v[0])) - 1)).bit_count()
 
 
+# the hint of a caller that takes a ``budget_cells`` parameter
+_RAISE_BUDGET = "raise budget_cells"
+
+
 def _check_budget(cells: int, budget_cells: int, what: str, *,
-                  length_only_helps: bool = False,
-                  unit: str = "alignment cells") -> None:
+                  hint: str = "", unit: str = "alignment cells") -> None:
+    """Raise BudgetError when ``cells`` exceed the budget; the message
+    ends with the caller's ``hint``, if any."""
     if cells > budget_cells:
-        hint = " or use length-only queries" if length_only_helps else ""
         raise BudgetError(
             f"{what} needs {cells} {unit}, over the budget of "
-            f"{budget_cells}; raise budget_cells{hint}"
-        )
+            f"{budget_cells}" + (f"; {hint}" if hint else ""))
 
 
 def _positions(word: Word) -> dict[int, list[int]]:
@@ -267,9 +270,10 @@ def _joint_length(words: Sequence[Word], cost: int, chain: bool,
     that ``_length_cost`` gave for them."""
     if chain:
         _check_budget(cost, budget_cells, f"{len(words)}-way match-point chain",
-                      unit="steps (match points squared)")
+                      hint=_RAISE_BUDGET, unit="steps (match points squared)")
         return _chain_length(words)
-    _check_budget(cost, budget_cells, f"{len(words)}-way alignment")
+    _check_budget(cost, budget_cells, f"{len(words)}-way alignment",
+                  hint=_RAISE_BUDGET)
     return _suffix_table(words).item((0,) * len(words))
 
 
@@ -305,7 +309,8 @@ def lcs_multi(words: Sequence[Word], *, witness: bool = True,
     # only a two-word witness has a length-only route with no budget
     _check_budget(prod(len(w) + 1 for w in words), budget_cells,
                   f"{len(words)}-way alignment",
-                  length_only_helps=len(words) == 2)
+                  hint=(_RAISE_BUDGET + " or use length-only queries"
+                        if len(words) == 2 else _RAISE_BUDGET))
     if len(words) == 2:
         value = _pair_suffix(words[0], words[1])
     else:
@@ -357,7 +362,7 @@ def set_lcs_stats(words: Sequence[Word], t: int, *,
             cost, chain = _length_cost(group)
             spent += cost
             _check_budget(spent, budget_cells, f"joint LCS over {t}-subsets",
-                          unit="cells and chain steps")
+                          hint=_RAISE_BUDGET, unit="cells and chain steps")
             got = _joint_length(group, cost, chain, budget_cells)
         if got > value:
             value, subset = got, combo

@@ -41,6 +41,8 @@ Roles = tuple[int, ...]
 
 DEFAULT_EXACT_LENGTH = 40
 DEFAULT_ORACLE_LENGTH = 14
+# Bounds time, not memory: the failure memo of the twin search keeps about
+# 100-130 bytes per state, so 5M states can hold about 0.6 GB.
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
@@ -377,7 +379,10 @@ def lt_exact(word: Word, *, max_length: int = DEFAULT_EXACT_LENGTH,
     role word among the optima.
 
     Asks the search for 0, 1, 2, ... pairs and keeps the last success;
-    failures found for one target stay valid for the next.
+    failures found for one target stay valid for the next.  Raises
+    BudgetError past ``budget_nodes`` states; the failure memo keeps
+    about 100-130 bytes per state, so the default can hold about 0.6 GB
+    before that.
     """
     if len(word) > max_length:
         raise ValueError(
@@ -389,21 +394,19 @@ def lt_exact(word: Word, *, max_length: int = DEFAULT_EXACT_LENGTH,
     return extract(word, best)
 
 
-def minimal_certificate(word: Word, length: int, *,
-                        budget_nodes: int = DEFAULT_NODE_BUDGET
-                        ) -> TwinCertificate:
+def minimal_certificate(word: Word, length: int) -> TwinCertificate:
     """Lexicographically smallest monotone certificate with exactly
-    ``length`` pairs; raises ValueError when none exists."""
+    ``length`` pairs; raises ValueError when none exists and BudgetError
+    past ``DEFAULT_NODE_BUDGET`` search states."""
     if length < 0:
         raise ValueError("twin length must be nonnegative")
-    roles = _TwinSearch(word, budget_nodes).find(length)
+    roles = _TwinSearch(word).find(length)
     if roles is None:
         raise ValueError(f"no twins of length {length} in {word.to_text()}")
     return extract(word, roles)
 
 
-def regularize(cert: TwinCertificate, *,
-               budget_nodes: int = DEFAULT_NODE_BUDGET) -> TwinCertificate:
+def regularize(cert: TwinCertificate) -> TwinCertificate:
     """Canonical certificate of the same length: the lexicographically
     smallest monotone role word with as many pairs.
 
@@ -414,8 +417,7 @@ def regularize(cert: TwinCertificate, *,
     """
     if not cert.is_monotone:
         raise InvalidCertificateError("regularize requires a monotone input")
-    return minimal_certificate(cert.word, cert.length,
-                               budget_nodes=budget_nodes)
+    return minimal_certificate(cert.word, cert.length)
 
 
 # -- independent oracle ------------------------------------------------------
@@ -448,10 +450,6 @@ def _ballot_slots(m: int) -> tuple[np.ndarray, np.ndarray]:
     return ones, twos
 
 
-# Role tables kept across calls, least recently used first.
-_TABLES: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-
-
 def _ballot_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Index tables of every monotone role word of length n with m >= 1 pairs.
 
@@ -460,13 +458,8 @@ def _ballot_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     choice of its 2m marked positions times a ballot word on them, so
     the tables are the C(n, 2m) position choices indexed by the
     Catalan(m) ballot slots.  Their entries are charged against
-    ``DEFAULT_BUDGET_CELLS`` before anything is built, and so are those
-    of the cached tables: the least recently used are dropped first.
+    ``DEFAULT_BUDGET_CELLS`` before anything is built.
     """
-    key = (n, m)
-    if key in _TABLES:
-        _TABLES[key] = _TABLES.pop(key)
-        return _TABLES[key]
     marked = math.comb(n, 2 * m)
     entries = marked * (math.comb(2 * m, m) // (m + 1)) * 2 * m
     if entries > DEFAULT_BUDGET_CELLS:
@@ -474,20 +467,15 @@ def _ballot_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
             f"twin oracle at n={n}, m={m} needs {entries} role-table "
             f"entries, over the budget of {DEFAULT_BUDGET_CELLS}; "
             f"use the exact search")
-    while _TABLES and entries + sum(
-            ones.size + twos.size
-            for ones, twos in _TABLES.values()) > DEFAULT_BUDGET_CELLS:
-        del _TABLES[next(iter(_TABLES))]
     positions = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), 2 * m)),
         dtype=np.min_scalar_type(n), count=marked * 2 * m
     ).reshape(marked, 2 * m)
     slot_ones, slot_twos = _ballot_slots(m)
-    # stored pair-major (the transposes are contiguous): the comparison
+    # returned pair-major (the transposes are contiguous): the comparison
     # then reduces over m long rows instead of many rows of length m
-    _TABLES[key] = (positions.T[slot_ones.T].reshape(m, -1).T,
-                    positions.T[slot_twos.T].reshape(m, -1).T)
-    return _TABLES[key]
+    return (positions.T[slot_ones.T].reshape(m, -1).T,
+            positions.T[slot_twos.T].reshape(m, -1).T)
 
 
 def _any_twins(letters: np.ndarray, ones: np.ndarray,

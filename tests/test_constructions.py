@@ -377,6 +377,10 @@ WORD_DIGESTS = [
                  id="multiperm-s2-k1000"),
     pytest.param(lambda: tuplet_family(3, 2), "fa6c18657a26f66a5c9557a3dbef"
                  "ba73042ef5189574a42ee7a064b5d632f722", id="tuplet-3-2"),
+    pytest.param(lambda: tuplet_family(3, 3), "b6ca3353b6cfbc4d77ea12af7cf6"
+                 "1baef55b615f2f69bd3cce09f5336dcd1d14", id="tuplet-3-3"),
+    pytest.param(lambda: tuplet_family(7, 1), "88a48c2bb17d5bd7493d00694561"
+                 "493ec06f1c04ef7d4f15b04174910d1d8ab8", id="tuplet-7-1"),
 ]
 
 

@@ -307,28 +307,14 @@ def test_oracle_budget_raises_before_building():
     assert peak < 4 * 2**20
 
 
-def test_oracle_table_cache_stays_within_budget(monkeypatch):
-    # each table fits the budget but the tables of one length do not, so
-    # tables are dropped within a call and rebuilt as the lengths alternate
-    monkeypatch.setattr(twins, "DEFAULT_BUDGET_CELLS", 1000)
-    monkeypatch.setattr(twins, "_TABLES", {})
-    for n in (8, 6, 8, 7, 8):
-        for w in itertools.product((1, 2), repeat=n):
-            assert lt_oracle(Word(w, 2)) == brute_twins(w), w
-            assert sum(ones.size + twos.size
-                       for ones, twos in twins._TABLES.values()) <= 1000
-
-
-def test_oracle_keeps_no_memory_once_its_tables_are_dropped(monkeypatch):
+def test_oracle_keeps_no_memory_between_calls():
     # uu has twins of length n/2 = 11, so only the m = 11 table is built;
-    # its ballot slots must not outlive it in a cache of their own
-    monkeypatch.setattr(twins, "_TABLES", {})
+    # neither it nor its ballot slots may outlive the call
     u = (1, 2, 1, 1, 2, 2, 1, 2, 1, 1, 2)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         assert lt_oracle(Word(u + u, 2), max_length=22) == 11
-        twins._TABLES.clear()
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -428,7 +414,7 @@ def test_split_upper_bound_budget():
     # (n^3 - n) / 6 cells: n = 843 fits the budget of 10^8, n = 844 not
     with pytest.raises(BudgetError, match="^split_upper_bound needs 100201790 "
                                           "alignment cells, over the budget "
-                                          "of 100000000"):
+                                          "of 100000000$"):
         split_upper_bound(sample_word(4, 844, 0))
     with pytest.raises(BudgetError, match="needs 4499999500 alignment cells"):
         split_upper_bound(sample_word(2, 3000, 0))

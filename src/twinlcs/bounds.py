@@ -18,6 +18,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .lcs import DEFAULT_BUDGET_CELLS, _check_budget
+
 
 E = math.e
 
@@ -357,9 +359,13 @@ def strong_monotonicity_violation(f: Sequence[Sequence[int]], s: int
 def monotone_image(f1: Sequence[Sequence[int]], f2: Sequence[Sequence[int]],
                    f3: Sequence[Sequence[int]], s: int) -> MonotoneImageResult:
     """Count the combined image of three s-by-s tables; raises ValueError
-    when any table fails strong monotonicity (with the violating cells)."""
+    when any table fails strong monotonicity (with the violating cells).
+    The s^3 triples are charged against ``DEFAULT_BUDGET_CELLS`` before
+    any table is read; over it, BudgetError."""
     if s < 1:
         raise ValueError(f"side must be >= 1, got {s}")
+    _check_budget(s ** 3, DEFAULT_BUDGET_CELLS, "monotone_image",
+                  unit="triples")
     maps = []
     for name, f in (("f1", f1), ("f2", f2), ("f3", f3)):
         bad = strong_monotonicity_violation(f, s)

@@ -65,10 +65,13 @@ def _sorted_word(letters: np.ndarray, keys: Sequence[np.ndarray],
     significant first: a sequence of equal-shaped arrays or one array
     with the coordinates first) hold one entry per position, in the
     same row-major order.  Equal key vectors would leave the order
-    open, so they raise ValueError.
+    open, so they raise ValueError.  Key rows that are constant over
+    the positions order nothing and are left out of the sort.
     """
     columns = np.reshape(keys, (len(keys), -1))
-    order = np.lexsort(columns[::-1])
+    varying = columns[(columns != columns[:, :1]).any(axis=1)]
+    order = (np.lexsort(varying[::-1]) if len(varying)
+             else np.arange(columns.shape[1]))
     ranked = columns[:, order]
     tied = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).all(axis=0))
     if tied.size:
@@ -97,7 +100,7 @@ class Ceiling:
     def __post_init__(self):
         if self.mode not in ("lcs", "rev", "set"):
             raise ValueError(f"unknown ceiling mode {self.mode!r}")
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        object.__setattr__(self, "indices", tuple(map(int, self.indices)))
 
     def to_json(self) -> dict:
         bound = self.bound

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import role_census, tail_counts, theta_decimal
 from twinlcs import (
+    BudgetError,
     alpha_threshold,
     asymptotic_threshold,
     lower_bound_values,
@@ -289,6 +290,15 @@ def test_monotone_image_rejects_violations():
     assert "f1" in str(err.value)
     decreasing = [[2, 1], [3, 4]]
     assert strong_monotonicity_violation(decreasing, 2) is not None
+
+
+def test_monotone_image_budget():
+    # s^3 triples: 465^3 is just over the budget of 10^8, and the charge
+    # comes before any table is read
+    with pytest.raises(BudgetError, match="^monotone_image needs 100544625 "
+                                          "triples, over the budget of "
+                                          "100000000$"):
+        monotone_image([], [], [], 465)
 
 
 def test_random_tables_meet_floor():

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (brute_lcs, exchange_descent, expected_lcs_naive,
@@ -295,7 +295,7 @@ def test_expected_lcs_matches_naive_fraction_sum(dist):
 
 
 def test_local_minimum_matches_scalar_oracle():
-    # the array-step descent must reproduce the pair-by-pair loop bit for bit
+    # the screened descent must reproduce the pair-by-pair loop bit for bit
     for k in (3, 4):
         a = pairwise_lcs_table(k).astype(np.float64)
         size = a.shape[0]
@@ -312,6 +312,41 @@ def test_local_minimum_matches_scalar_oracle():
             want /= want.sum()
             assert value == float(want @ a @ want), (k, start)
             assert np.array_equal(p, want), (k, start)
+
+
+@st.composite
+def descent_cases(draw):
+    """A square matrix and a start for the exchange descent.  Entries are
+    small integers or reals, the matrix is symmetric or not, and a lift of
+    the diagonal sets how many pairs have curvature c < 0 (none at 8); a
+    scale of 1e-12 puts the gains of the moves near the tolerance.  Starts
+    hold exact zeros and 1e-9 entries."""
+    size = draw(st.integers(2, 12))
+    entry = st.integers(-3, 3).map(float) | st.floats(-4.0, 4.0)
+    a = np.array(draw(st.lists(entry, min_size=size * size,
+                               max_size=size * size))).reshape(size, size)
+    if draw(st.booleans()):
+        a = np.triu(a) + np.triu(a, 1).T
+    a += np.diag(np.full(size, draw(st.sampled_from([0.0, 3.0, 8.0]))))
+    a *= draw(st.sampled_from([1.0, 1e-12]))
+    weight = st.sampled_from([0.0, 1e-9]) | st.floats(0.0, 1.0)
+    start = np.array(draw(st.lists(weight, min_size=size, max_size=size)))
+    if not start.sum():
+        start[draw(st.integers(0, size - 1))] = 1.0
+    return a, start / start.sum()
+
+
+@settings(max_examples=120)
+@given(descent_cases())
+def test_local_minimum_matches_scalar_oracle_on_general_matrices(case):
+    # the screen may only skip pairs that cannot move, whatever the matrix
+    a, start = case
+    value, p = _local_minimum(a, start)
+    raw = exchange_descent(a.tolist(), start.tolist(), (a @ start).tolist())
+    want = np.maximum(np.array(raw), 0.0)
+    want /= want.sum()
+    assert np.array_equal(p, want)
+    assert value == float(want @ a @ want)
 
 
 def test_minimize_k5_pinned():

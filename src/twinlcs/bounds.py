@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .lcs import DEFAULT_BUDGET_CELLS, _check_budget
+from .errors import DEFAULT_BUDGET_CELLS, check_budget
 
 
 E = math.e
@@ -364,8 +364,8 @@ def monotone_image(f1: Sequence[Sequence[int]], f2: Sequence[Sequence[int]],
     any table is read; over it, BudgetError."""
     if s < 1:
         raise ValueError(f"side must be >= 1, got {s}")
-    _check_budget(s ** 3, DEFAULT_BUDGET_CELLS, "monotone_image",
-                  unit="triples")
+    check_budget(s ** 3, DEFAULT_BUDGET_CELLS, "monotone_image",
+                 unit="triples")
     maps = []
     for name, f in (("f1", f1), ("f2", f2), ("f3", f3)):
         bad = strong_monotonicity_violation(f, s)

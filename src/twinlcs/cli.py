@@ -10,6 +10,7 @@ carrying a schema_version field; ``--out`` redirects output to a file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
 import sys
@@ -50,26 +51,21 @@ def _emit(args: argparse.Namespace, payload: dict,
         sys.stdout.write(body)
 
 
-def _config_from(args: argparse.Namespace, **overrides) -> ExperimentConfig:
-    return ExperimentConfig(seed=args.seed, budget_nodes=args.budget_nodes,
-                            budget_cells=args.budget_cells, **overrides)
-
-
 # -- subcommand handlers ------------------------------------------------------
 
 
-def _cmd_lcs(args: argparse.Namespace) -> int:
+def _cmd_lcs(args: argparse.Namespace, config: ExperimentConfig) -> int:
     a = load_word(args.first)
     b = load_word(args.second)
     if args.reversible:
         result = lcs_reversible(a, b, witness=not args.no_witness,
-                                budget_cells=args.budget_cells)
+                                budget_cells=config.budget_cells)
         lines = [f"length: {result.length}",
                  f"orientation: {result.orientation}"]
         detail = result.detail
     else:
         detail = lcs_pair(a, b, witness=not args.no_witness,
-                          budget_cells=args.budget_cells)
+                          budget_cells=config.budget_cells)
         result = detail
         lines = [f"length: {detail.length}"]
     if detail.word is not None:
@@ -80,9 +76,9 @@ def _cmd_lcs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lcs_set(args: argparse.Namespace) -> int:
+def _cmd_lcs_set(args: argparse.Namespace, config: ExperimentConfig) -> int:
     words = [load_word(text) for text in args.words]
-    stats = set_lcs_stats(words, args.t, budget_cells=args.budget_cells)
+    stats = set_lcs_stats(words, args.t, budget_cells=config.budget_cells)
     lines = [f"words: {len(words)}", f"t: {stats.t}",
              f"joint value: {stats.value}",
              f"best subset: {' '.join(map(str, stats.best_subset))}",
@@ -101,7 +97,7 @@ def _certificate_lines(cert) -> list[str]:
             f"second: {' '.join(map(str, cert.second))}"]
 
 
-def _cmd_twins(args: argparse.Namespace) -> int:
+def _cmd_twins(args: argparse.Namespace, config: ExperimentConfig) -> int:
     word = load_word(args.word)
     # without --max-length each method keeps its own default cap
     limit = {} if args.max_length is None else {"max_length": args.max_length}
@@ -122,7 +118,7 @@ def _cmd_twins(args: argparse.Namespace) -> int:
                      f"({'met' if result.floor_met else 'missed'})")
         _emit(args, result.to_json(), lines)
         return 0
-    cert = lt_exact(word, **limit, budget_nodes=args.budget_nodes)
+    cert = lt_exact(word, **limit, budget_nodes=config.budget_nodes)
     _emit(args, cert.to_json(), _certificate_lines(cert))
     return 0
 
@@ -134,7 +130,7 @@ def _parse_ms(text: str) -> tuple[int, ...]:
         raise ValueError(f"--ms expects comma-separated integers: {exc}")
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
+def _cmd_construct(args: argparse.Namespace, config: ExperimentConfig) -> int:
     build = FAMILY_BUILDERS[args.family]
     params = inspect.signature(build).parameters
     kwargs = {k: v for k, v in vars(args).items() if k in params}
@@ -148,7 +144,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     lines += [f"  {w.to_text()}" for w in out.words]
     lines.append(f"ceilings: {len(out.ceilings)}")
     if args.check:
-        report = check_family(out, budget_cells=args.budget_cells,
+        report = check_family(out, budget_cells=config.budget_cells,
                               set_restrict=args.set_restrict)
         payload["checks"] = [
             {"ceiling": c.to_json(), "value": v, "ok": ok}
@@ -166,7 +162,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
+def _cmd_bound(args: argparse.Namespace, config: ExperimentConfig) -> int:
     what = args.what
     if what == "theta":
         breakdown = theta(args.alpha, args.k)
@@ -233,9 +229,10 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
+def _cmd_experiment(args: argparse.Namespace,
+                    config: ExperimentConfig) -> int:
     if args.experiment == "lt-tail":
-        config = _config_from(args, trials=args.trials)
+        config = dataclasses.replace(config, trials=args.trials)
         estimate = estimate_lt_tail(args.k, args.n, args.alpha, config)
         lines = [f"Pr[LT >= {estimate.pairs}] over [{args.k}]^{args.n}",
                  f"method: {estimate.method}",
@@ -246,8 +243,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             lines.append(f"exact: {estimate.exact}")
         _emit(args, estimate.to_json(), lines)
         return 0
-    result = minimize_expected_lcs(args.k, _config_from(args),
-                                   starts=args.starts)
+    result = minimize_expected_lcs(args.k, config, starts=args.starts)
     lines = [f"minimum found: {result.value:.9f}",
              f"uniform value: {result.uniform_value:.9f}",
              f"starts: {result.starts} (best: {result.best_start})",
@@ -259,8 +255,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 1 if result.below_conjectured_floor else 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    config = _config_from(args)
+def _cmd_verify(args: argparse.Namespace, config: ExperimentConfig) -> int:
     report = verify_suite(args.suite, config)
     _emit(args, report.to_json(), report.summary_lines())
     return 0 if report.ok else 1
@@ -419,8 +414,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         if not hasattr(args, dest):
             setattr(args, dest, value)
     try:
-        _config_from(args)  # rejects a bad seed or budget on every command
-        return args.func(args)
+        # rejects a bad seed or budget on every command
+        config = ExperimentConfig(seed=args.seed,
+                                  budget_nodes=args.budget_nodes,
+                                  budget_cells=args.budget_cells)
+        return args.func(args, config)
     except (ValueError, OSError) as exc:  # bad input, unusable file
         print(f"error: {exc}", file=sys.stderr)
         return 2

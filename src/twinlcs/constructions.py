@@ -31,8 +31,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetError
-from .lcs import DEFAULT_BUDGET_CELLS, lcs_len, lcs_multi
+from .errors import DEFAULT_BUDGET_CELLS, BudgetError
+from .lcs import lcs_len, lcs_multi
 from .words import Word
 
 
@@ -97,11 +97,6 @@ class Ceiling:
     mode: str
     bound: object
 
-    def __post_init__(self):
-        if self.mode not in ("lcs", "rev", "set"):
-            raise ValueError(f"unknown ceiling mode {self.mode!r}")
-        object.__setattr__(self, "indices", tuple(map(int, self.indices)))
-
     def to_json(self) -> dict:
         bound = self.bound
         if isinstance(bound, Fraction):
@@ -138,7 +133,8 @@ def ceiling_value(out: FamilyOutput, ceiling: Ceiling, *,
     ``set_restrict`` caps joint-LCS checks by first deleting all letters
     above the cap from every word; deletion never increases the joint
     LCS, so the check remains sound for the restricted instance.  A cap
-    below 1 would delete every letter and certify nothing: ValueError.
+    below 1 would delete every letter and certify nothing, and a mode
+    other than "lcs", "rev" and "set" names no quantity: ValueError.
     """
     if set_restrict is not None and set_restrict < 1:
         raise ValueError(f"set_restrict must be >= 1, got {set_restrict}")
@@ -147,6 +143,8 @@ def ceiling_value(out: FamilyOutput, ceiling: Ceiling, *,
         return lcs_len(words[0], words[1])
     if ceiling.mode == "rev":
         return lcs_len(words[0], words[1].reversed())
+    if ceiling.mode != "set":
+        raise ValueError(f"unknown ceiling mode {ceiling.mode!r}")
     if set_restrict is not None:
         words = [w.restrict(range(1, set_restrict + 1)) for w in words]
     return lcs_multi(words, witness=False, budget_cells=budget_cells).length

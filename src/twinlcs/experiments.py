@@ -27,8 +27,7 @@ from .bounds import (alpha_threshold, asymptotic_threshold,
 from .constructions import (FAMILY_BUILDERS, check_family, cube_quadruple,
                             grid_pair, multiperm_quadruple, quadratic_family,
                             stratified_family, tuplet_family)
-from .errors import BudgetError, InvalidCertificateError
-from .lcs import DEFAULT_BUDGET_CELLS
+from .errors import DEFAULT_BUDGET_CELLS, BudgetError, InvalidCertificateError
 from .twins import (DEFAULT_EXACT_LENGTH, DEFAULT_NODE_BUDGET, _TwinSearch,
                     _oracle_lengths, extract, find_regularity_violation,
                     is_monotone, is_regular_pair, is_twin_roles, lt_exact,

@@ -11,6 +11,9 @@ points (Hunt & Szymanski 1977), with M**2 steps for M match points.  The chain
 is taken when M**2 is below the cell count, as for permutations (M = n) and
 for multipermutations with few copies of each letter; the budget then counts
 M**2 instead of cells.  Their witnesses come from the dense table.
+Each query is charged once, by ``lcs_multi`` for the route it takes, or
+by ``set_lcs_stats`` for all its subsets together; the budget and its
+check live in ``errors.py``.
 Witnesses follow the leftmost-greedy convention: among optimal alignments, the
 one whose flattened index sequence (i1, j1, i2, j2, ...) is lexicographically
 smallest.  One first-occurrence walk reads them off the suffix values, from
@@ -30,10 +33,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import DEFAULT_BUDGET_CELLS, check_budget
 from .words import Word
-
-DEFAULT_BUDGET_CELLS = 10**8
 
 
 @dataclass(frozen=True)
@@ -106,16 +107,6 @@ def _pair_suffix(a: Word, b: Word) -> Callable[[tuple[int, ...]], int]:
 
 # the hint of a caller that takes a ``budget_cells`` parameter
 _RAISE_BUDGET = "raise budget_cells"
-
-
-def _check_budget(cells: int, budget_cells: int, what: str, *,
-                  hint: str = "", unit: str = "alignment cells") -> None:
-    """Raise BudgetError when ``cells`` exceed the budget; the message
-    ends with the caller's ``hint``, if any."""
-    if cells > budget_cells:
-        raise BudgetError(
-            f"{what} needs {cells} {unit}, over the budget of "
-            f"{budget_cells}" + (f"; {hint}" if hint else ""))
 
 
 def _positions(word: Word) -> dict[int, list[int]]:
@@ -264,16 +255,11 @@ def lcs_reversible(a: Word, b: Word, *, witness: bool = False,
     return ReversibleResult(length, orientation, detail)
 
 
-def _joint_length(words: Sequence[Word], cost: int, chain: bool,
-                  budget_cells: int) -> int:
-    """Joint LCS length of three or more words by the route and charge
-    that ``_length_cost`` gave for them."""
+def _joint_length(words: Sequence[Word], chain: bool) -> int:
+    """Joint LCS length of three or more words by the route that
+    ``_length_cost`` picked for them; the caller has charged it."""
     if chain:
-        _check_budget(cost, budget_cells, f"{len(words)}-way match-point chain",
-                      hint=_RAISE_BUDGET, unit="steps (match points squared)")
         return _chain_length(words)
-    _check_budget(cost, budget_cells, f"{len(words)}-way alignment",
-                  hint=_RAISE_BUDGET)
     return _suffix_table(words).item((0,) * len(words))
 
 
@@ -304,13 +290,17 @@ def lcs_multi(words: Sequence[Word], *, witness: bool = True,
         return LcsResult(len(shortest), shortest,
                          (tuple(range(len(shortest))),) * len(words))
     if not witness:
-        return LcsResult(_joint_length(words, *_length_cost(words),
-                                       budget_cells))
+        cost, chain = _length_cost(words)
+        what, unit = (("match-point chain", "steps (match points squared)")
+                      if chain else ("alignment", "alignment cells"))
+        check_budget(cost, budget_cells, f"{len(words)}-way {what}",
+                     hint=_RAISE_BUDGET, unit=unit)
+        return LcsResult(_joint_length(words, chain))
     # only a two-word witness has a length-only route with no budget
-    _check_budget(prod(len(w) + 1 for w in words), budget_cells,
-                  f"{len(words)}-way alignment",
-                  hint=(_RAISE_BUDGET + " or use length-only queries"
-                        if len(words) == 2 else _RAISE_BUDGET))
+    check_budget(prod(len(w) + 1 for w in words), budget_cells,
+                 f"{len(words)}-way alignment",
+                 hint=(_RAISE_BUDGET + " or use length-only queries"
+                       if len(words) == 2 else _RAISE_BUDGET))
     if len(words) == 2:
         value = _pair_suffix(words[0], words[1])
     else:
@@ -361,9 +351,9 @@ def set_lcs_stats(words: Sequence[Word], t: int, *,
             # each subset costs what the route lcs_multi picks for it
             cost, chain = _length_cost(group)
             spent += cost
-            _check_budget(spent, budget_cells, f"joint LCS over {t}-subsets",
-                          hint=_RAISE_BUDGET, unit="cells and chain steps")
-            got = _joint_length(group, cost, chain, budget_cells)
+            check_budget(spent, budget_cells, f"joint LCS over {t}-subsets",
+                         hint=_RAISE_BUDGET, unit="cells and chain steps")
+            got = _joint_length(group, chain)
         if got > value:
             value, subset = got, combo
     frozen = tuple(tuple(r) for r in table)

@@ -33,8 +33,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetError, InvalidCertificateError
-from .lcs import DEFAULT_BUDGET_CELLS, _check_budget, lcs_len, lcs_pair
+from .errors import (DEFAULT_BUDGET_CELLS, BudgetError,
+                     InvalidCertificateError, check_budget)
+from .lcs import lcs_len, lcs_pair
 from .words import Word
 
 Roles = tuple[int, ...]
@@ -161,12 +162,6 @@ class RoleStats:
     pairs: int
     switches: int
     leading_zeros: int
-
-    def __post_init__(self):
-        if not 0 <= self.switches <= self.pairs:
-            raise ValueError("switches must lie between 0 and pairs")
-        if not 0 <= self.leading_zeros <= self.length - 2 * self.pairs:
-            raise ValueError("leading zeros exceed the unmarked budget")
 
     def to_json(self) -> dict:
         return {"length": self.length, "pairs": self.pairs,
@@ -462,11 +457,8 @@ def _ballot_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """
     marked = math.comb(n, 2 * m)
     entries = marked * (math.comb(2 * m, m) // (m + 1)) * 2 * m
-    if entries > DEFAULT_BUDGET_CELLS:
-        raise BudgetError(
-            f"twin oracle at n={n}, m={m} needs {entries} role-table "
-            f"entries, over the budget of {DEFAULT_BUDGET_CELLS}; "
-            f"use the exact search")
+    check_budget(entries, DEFAULT_BUDGET_CELLS, f"twin oracle at n={n}, m={m}",
+                 hint="use the exact search", unit="role-table entries")
     positions = np.fromiter(
         itertools.chain.from_iterable(itertools.combinations(range(n), 2 * m)),
         dtype=np.min_scalar_type(n), count=marked * 2 * m
@@ -570,7 +562,7 @@ def split_upper_bound(word: Word) -> int:
         return min((hi - lo) // 2, sum(v // 2 for v in counts.values()))
 
     n = len(word)
-    _check_budget((n ** 3 - n) // 6, DEFAULT_BUDGET_CELLS, "split_upper_bound")
+    check_budget((n ** 3 - n) // 6, DEFAULT_BUDGET_CELLS, "split_upper_bound")
     best = cheap(0, n)
     for s in range(1, n):
         head = Word(word.letters[:s], word.k)

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
+from .errors import DEFAULT_BUDGET_CELLS, check_budget
+
 Letters = tuple[int, ...]
 
 
@@ -116,7 +118,9 @@ def is_regular(w: Word, eps, max_length: int) -> RegularityReport:
     Regular means: every window of length at least eps*len(w) matches w to
     within eps on the frequency of every pattern of length at most L.  Windows
     are scanned by (start, end) and patterns by (length, lexicographic);
-    the first violation is reported.
+    the first violation is reported.  The scan is charged the qualifying
+    windows times the distinct patterns of w against
+    ``DEFAULT_BUDGET_CELLS`` before it starts; over it, BudgetError.
     """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
@@ -138,10 +142,12 @@ def is_regular(w: Word, eps, max_length: int) -> RegularityReport:
     # |c/slots - g/total| >= eps  <=>  b |c total - g slots| >= a slots total,
     # decided in ints; the Fraction gap is built only for the witness.
     a, b = eps.numerator, eps.denominator
+    shortest = -(-a * n // b)  # the least window length of at least eps * n
+    windows = (n - shortest + 1) * (n - shortest + 2) // 2
+    check_budget(windows * len(patterns), DEFAULT_BUDGET_CELLS, "is_regular",
+                 unit="window-pattern checks")
     for i in range(n):
-        for j in range(i + 1, n + 1):
-            if b * (j - i) < a * n:  # shorter than eps * n
-                continue
+        for j in range(i + shortest, n + 1):
             for pat in patterns:
                 m = len(pat)
                 if m > j - i:

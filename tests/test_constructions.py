@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -13,7 +14,9 @@ from hypothesis import strategies as st
 from oracles import brute_lcs, brute_lcs_multi, key_sorted_letters
 from twinlcs import (
     BudgetError,
+    Ceiling,
     FAMILY_BUILDERS,
+    FamilyOutput,
     Word,
     ceiling_value,
     check_family,
@@ -336,6 +339,17 @@ def test_ceiling_fraction_bound_json():
     assert set(doc["bound"]) == {"num", "den"}
 
 
+def test_unknown_ceiling_mode_is_rejected_when_checked():
+    # a ceiling is a plain record; the mode is decided where it is computed
+    out = grid_pair(s=1, k1=2, k2=2)
+    bad = Ceiling((0, 1), "max", 2)
+    with pytest.raises(ValueError, match="unknown ceiling mode 'max'"):
+        ceiling_value(out, bad)
+    with pytest.raises(ValueError, match="unknown ceiling mode 'max'"):
+        check_family(FamilyOutput(out.family, out.params, out.words,
+                                  out.ceilings + (bad,)))
+
+
 def test_set_restrict_never_increases_value():
     out = tuplet_family(2, 2)
     full = check_family(out)
@@ -387,6 +401,20 @@ WORD_DIGESTS = [
 @pytest.mark.parametrize("build, digest", WORD_DIGESTS)
 def test_pinned_word_digests(build, digest):
     text = "\n".join(w.to_text() for w in build().words)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# sha256 of the whole JSON output, words, params and ceilings alike; the
+# stratified family has Fraction bounds
+@pytest.mark.parametrize("build, digest", [
+    pytest.param(lambda: tuplet_family(5, 1), "961de84569f71b87cf23f393f6bc"
+                 "15ac4566d620d2953ae28fad376013916a32", id="tuplet-5-1"),
+    pytest.param(lambda: stratified_family(3, 18, (1, 3, 6)), "35dff1c9e2c2"
+                 "7246a86d2618daf88465feb915707dae56619d1596fac9823fb7",
+                 id="stratified-3-18"),
+])
+def test_pinned_json_digests(build, digest):
+    text = json.dumps(build().to_json(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

@@ -30,3 +30,23 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imports_from(source: str, module: str) -> set[str]:
+    """Names that a package module imports from its sibling ``module``."""
+    return {a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            and node.module == module for a in node.names}
+
+
+def test_budget_comes_from_errors():
+    # the cell budget and its check live beside BudgetError; bounds needs
+    # nothing else from lcs, and no module reaches into lcs for a private name
+    bounds = (PACKAGE / "bounds.py").read_text(encoding="utf-8")
+    assert imports_from(bounds, "lcs") == set()
+    for path in MODULES:
+        source = path.read_text(encoding="utf-8")
+        assert "_check_budget" not in source, path.name
+        private = {name for name in imports_from(source, "lcs")
+                   if name.startswith("_")}
+        assert private == set(), path.name

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -90,6 +91,21 @@ def test_role_stats():
     assert role_stats(()).pairs == 0
     with pytest.raises(InvalidCertificateError):
         role_stats((1, 1, 2))
+
+
+def test_exact_search_recursion_is_one_frame_per_position():
+    # _find recurses once per position, so n = 80 needs n + O(1) frames
+    # beyond the caller's; Python's default limit of 1000 is far off
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 120)
+    try:
+        cert = lt_exact(Word((1, 2) * 40, 2), max_length=80)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cert.length == 40
 
 
 def test_monotonize_preserves_length_and_word():

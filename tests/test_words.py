@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import regularity_violation
-from twinlcs import Word, is_regular, parse_word
+from twinlcs import BudgetError, Word, is_regular, parse_word
 
 words = st.integers(1, 4).flatmap(
     lambda k: st.lists(st.integers(1, k), max_size=12).map(
@@ -139,3 +139,21 @@ def test_regularity_validation():
     for cap in (0, -1):
         with pytest.raises(ValueError, match="pattern cap must lie in"):
             is_regular(irregular, Fraction(1, 4), cap)
+
+
+def test_regularity_budget_charges_windows_times_patterns(monkeypatch):
+    irregular = Word((1, 2, 1, 2, 2, 1, 1, 1, 1, 1, 2, 2), 2)
+    eps, cap, n = Fraction(1, 4), 2, len(irregular)
+    windows = sum(1 for i in range(n) for j in range(i + 1, n + 1)
+                  if j - i >= eps * n)
+    patterns = {irregular.letters[i:i + m] for m in range(1, cap + 1)
+                for i in range(n - m + 1)}
+    charge = windows * len(patterns)
+    assert charge == 55 * 6
+    monkeypatch.setattr("twinlcs.words.DEFAULT_BUDGET_CELLS", charge)
+    assert not is_regular(irregular, eps, cap)
+    # one below the charge: refused before the scan finds the violation
+    monkeypatch.setattr("twinlcs.words.DEFAULT_BUDGET_CELLS", charge - 1)
+    with pytest.raises(BudgetError, match=f"^is_regular needs {charge} "
+                                          "window-pattern checks"):
+        is_regular(irregular, eps, cap)

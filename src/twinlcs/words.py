@@ -120,7 +120,10 @@ def is_regular(w: Word, eps, max_length: int) -> RegularityReport:
     are scanned by (start, end) and patterns by (length, lexicographic);
     the first violation is reported.  The scan is charged the qualifying
     windows times the distinct patterns of w against
-    ``DEFAULT_BUDGET_CELLS`` before it starts; over it, BudgetError.
+    ``DEFAULT_BUDGET_CELLS``; over it, BudgetError.  The patterns are
+    listed one length at a time and the charge, with the patterns up to
+    the length reached, is checked after each, so a refused call stops
+    before it lists the longer ones.
     """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
@@ -129,6 +132,13 @@ def is_regular(w: Word, eps, max_length: int) -> RegularityReport:
     if not 1 <= max_length <= n:
         raise ValueError(f"pattern cap must lie in [1, {n}], got {max_length}")
 
+    # With eps = a/b, c of `slots` window starts and g of `total` word starts:
+    # |c/slots - g/total| >= eps  <=>  b |c total - g slots| >= a slots total,
+    # decided in ints; the Fraction gap is built only for the witness.
+    a, b = eps.numerator, eps.denominator
+    shortest = -(-a * n // b)  # the least window length of at least eps * n
+    windows = (n - shortest + 1) * (n - shortest + 2) // 2
+
     # Sorted occurrence starts, per pattern, counted per window by bisection;
     # windows are factors of w, so only patterns occurring in w can ever
     # disagree with it.
@@ -136,16 +146,9 @@ def is_regular(w: Word, eps, max_length: int) -> RegularityReport:
     for m in range(1, max_length + 1):
         for i in range(n - m + 1):
             starts.setdefault(w.letters[i : i + m], []).append(i)
+        check_budget(windows * len(starts), DEFAULT_BUDGET_CELLS,
+                     "is_regular", unit="window-pattern checks")
     patterns = sorted(starts, key=lambda pat: (len(pat), pat))
-
-    # With eps = a/b, c of `slots` window starts and g of `total` word starts:
-    # |c/slots - g/total| >= eps  <=>  b |c total - g slots| >= a slots total,
-    # decided in ints; the Fraction gap is built only for the witness.
-    a, b = eps.numerator, eps.denominator
-    shortest = -(-a * n // b)  # the least window length of at least eps * n
-    windows = (n - shortest + 1) * (n - shortest + 2) // 2
-    check_budget(windows * len(patterns), DEFAULT_BUDGET_CELLS, "is_regular",
-                 unit="window-pattern checks")
     for i in range(n):
         for j in range(i + shortest, n + 1):
             for pat in patterns:

@@ -72,6 +72,14 @@ def test_quadratic_p3():
                                   out.words[c.indices[1]].letters)
 
 
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_quadratic_largest_pair_lcs_is_3p_minus_1(p):
+    """Measured data for p in {5, 7, 11, 13}, not a theorem: the largest
+    pairwise LCS is exactly 3p - 1, below the 4p - 2 ceiling."""
+    values = [value for _, value, _ in check_family(quadratic_family(p))]
+    assert max(values) == 3 * p - 1 < 4 * p - 2
+
+
 def test_quadratic_restricted():
     out = quadratic_family(3, k=10)
     assert all(len(w) == 10 for w in out.words)

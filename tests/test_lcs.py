@@ -20,11 +20,12 @@ from twinlcs import (
     lcs_pair,
     lcs_reversible,
     parse_word,
+    quadratic_family,
     set_lcs_stats,
     substream,
 )
 from twinlcs import lcs
-from twinlcs.lcs import _chain_length, _length_cost
+from twinlcs.lcs import _chain_length, _length_cost, _pair_chain, _row_dp
 
 pairs = st.integers(2, 4).flatmap(
     lambda k: st.tuples(
@@ -79,8 +80,101 @@ def test_budget_message_length_only_queries_get_no_length_only_hint():
         assert "length-only" not in message
 
 
+def letter_pairs(k, first=1):
+    """Two lists of up to 40 letters, the second over [first, first + k)."""
+    return st.tuples(st.lists(st.integers(1, k), max_size=40),
+                     st.lists(st.integers(first, first + k - 1), max_size=40))
+
+
+# repeated letters and empty words, over k = 1..6, and disjoint alphabets
+chain_pairs = (st.integers(1, 6).flatmap(letter_pairs)
+               | st.integers(1, 3).flatmap(lambda k: letter_pairs(k, k + 1)))
+
+
+@given(chain_pairs)
+def test_pair_chain_matches_row_dp_and_brute_force(ab):
+    a, b = ab
+    expected = brute_lcs(a, b)
+    points = sum(x == y for x in a for y in b)
+    assert _pair_chain(a, b, points) == _row_dp(a, b).bit_count() == expected
+    # over its cap on match points the chain declines before it starts
+    assert _pair_chain(a, b, points - 1) is None
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Count the calls of each pair-length route that ``lcs_len`` makes,
+    and the chains that declined after counting their match points."""
+    seen = {"chain": 0, "declined": 0, "row": 0}
+    chain, row = lcs._pair_chain, lcs._row_dp
+
+    def spy_chain(*args):
+        got = chain(*args)
+        seen["chain" if got is not None else "declined"] += 1
+        return got
+
+    def spy_row(*args):
+        seen["row"] += 1
+        return row(*args)
+
+    monkeypatch.setattr(lcs, "_pair_chain", spy_chain)
+    monkeypatch.setattr(lcs, "_row_dp", spy_row)
+    return seen
+
+
+def test_pair_length_across_the_route_switch(routes):
+    rng = substream(18, 0)
+    for n, copies in ((96, 1), (150, 1), (250, 1), (400, 1),
+                      (96, 2), (200, 2), (300, 2), (400, 2)):
+        base = [c for c in range(1, n // copies + 1) for _ in range(copies)]
+        a, b = (Word(tuple(base[i] for i in rng.permutation(n)), n // copies)
+                for _ in range(2))
+        assert lcs_len(a, b) == brute_lcs(a.letters, b.letters), (n, copies)
+    # two copies of each letter take the row DP up to about 300 letters
+    assert routes["chain"] and routes["row"], routes
+
+
+def test_pair_length_route_follows_the_cost(routes):
+    words = quadratic_family(11).words
+    for a, b in itertools.combinations(words, 2):
+        lcs_len(a, b)
+    assert routes == {"chain": 55, "declined": 0, "row": 0}
+    # dense binary words: the alphabet size alone keeps them off the chain,
+    # before their match points are counted
+    rng = substream(18, 1)
+    a, b = (Word(tuple(int(c) for c in rng.integers(1, 3, 1000)), 2)
+            for _ in range(2))
+    routes.update(chain=0, row=0)
+    lcs_len(a, b)
+    assert routes == {"chain": 0, "declined": 0, "row": 1}
+    # six-letter words take the row DP after the length test alone
+    routes.update(row=0)
+    assert lcs_len(parse_word("123456"), parse_word("654321")) == 1
+    assert routes == {"chain": 0, "declined": 0, "row": 1}
+
+
+def test_pair_length_on_a_huge_alphabet_takes_no_alphabet_sized_memory(
+        routes):
+    # 200 letters each out of 4,000,000: the chain renumbers the letters, so
+    # no array has one entry per letter of the alphabet
+    k = 4_000_000
+    rng = substream(18, 2)
+    pool = [int(c) + 1 for c in rng.choice(k, 300, replace=False)]
+    a = Word(tuple(pool[:200]), k)
+    b = Word(tuple(pool[i] for i in rng.permutation(300)[:200]), k)
+    tracemalloc.start()
+    try:
+        got = lcs_len(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == brute_lcs(a.letters, b.letters) > 0
+    assert routes == {"chain": 1, "declined": 0, "row": 0}
+    assert peak < 2**20, peak
+
+
 def test_pair_length_ignores_cell_budget():
-    # two-word lengths come from the bit-parallel row DP, which has no table
+    # neither pair-length route, bit rows or match-point chain, keeps a table
     a = Word((1,) * 600, 2)
     assert lcs_multi([a, a], witness=False, budget_cells=1000).length == 600
     assert lcs_pair(a, a, witness=False, budget_cells=1000).length == 600

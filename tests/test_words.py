@@ -1,6 +1,7 @@
 """Word type, parsing, rendering and regularity."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import regularity_violation
-from twinlcs import BudgetError, Word, is_regular, parse_word
+from twinlcs import BudgetError, Word, is_regular, parse_word, sample_word
 
 words = st.integers(1, 4).flatmap(
     lambda k: st.lists(st.integers(1, k), max_size=12).map(
@@ -157,3 +158,17 @@ def test_regularity_budget_charges_windows_times_patterns(monkeypatch):
     with pytest.raises(BudgetError, match=f"^is_regular needs {charge} "
                                           "window-pattern checks"):
         is_regular(irregular, eps, cap)
+
+
+def test_regularity_budget_refuses_before_listing_long_patterns():
+    # 634,501 windows: the running charge passes the budget at pattern
+    # length 7, long before the 100-letter patterns would be listed
+    w = sample_word(2, 1500, 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="^is_regular needs "):
+            is_regular(w, Fraction(1, 4), 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak

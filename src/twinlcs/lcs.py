@@ -101,6 +101,7 @@ def _pair_chain(a: Sequence[int], b: Sequence[int],
     longest with one bisection per point.  The last pile top is a sentinel
     len(b), above every j.  The setup costs O(len(a) + len(b)), whatever
     the alphabet: letters far above the word lengths are renumbered first.
+    The point list takes O(``most``) memory.
     """
     n = len(b)
     x = np.fromiter(a, np.int64, len(a))
@@ -132,7 +133,8 @@ def lcs_len(a: Word, b: Word) -> int:
     Two routes give the same value: the bit-parallel row DP, len(b) big-int
     steps of len(a) bits, and the longest chain of the M match points, one
     bisection each.  The chain is taken when both words have at least 96
-    letters and M + 100 <= len(b) * (2 + len(a) / 1000).  M is counted in
+    letters, M + 100 <= len(b) * (2 + len(a) / 1000) and
+    M <= 4 * (len(a) + len(b)), so its memory stays linear.  M is counted in
     O(len(a) + len(b)) before any per-point work, and not at all when
     len(a) * len(b) / k, the M of words in which every letter is equally
     frequent, is already over.
@@ -144,7 +146,11 @@ def lcs_len(a: Word, b: Word) -> int:
         # DP's at about 80 letters for permutations (M = n), 300 with two
         # copies of each letter (M = 2n) and 650 with three (M = 3n); dense
         # pairs, such as binary words (M ~ n * n / 2), stay on the row DP.
-        most = len(y) * (2000 + len(x)) // 1000 - 100
+        # The cap keeps the chain's M-sized arrays linear in the words.  Near
+        # it, on random pairs of 6000 letters with eight copies of each, the
+        # two routes took the same time (19 ms).
+        most = min(len(y) * (2000 + len(x)) // 1000 - 100,
+                   4 * (len(x) + len(y)))
         if len(x) * len(y) <= a.k * most:
             chain = _pair_chain(x, y, most)
             if chain is not None:

@@ -173,6 +173,22 @@ def test_pair_length_on_a_huge_alphabet_takes_no_alphabet_sized_memory(
     assert peak < 2**20, peak
 
 
+def test_pair_length_keeps_many_points_off_the_chain(routes):
+    # ten copies of 1000 letters, 10,000 letters each: M = 100,000 points,
+    # past the chain's cap of 4 * (len(a) + len(b)), so the row DP serves
+    # the pair and no array holds one entry per match point
+    a, b = grid_pair(1000, 10).words
+    tracemalloc.start()
+    try:
+        got = lcs_len(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert routes == {"chain": 0, "declined": 0, "row": 1}
+    assert got == _pair_chain(a.letters, b.letters, 10**5) == 110
+    assert peak < 2**20, peak
+
+
 def test_pair_length_ignores_cell_budget():
     # neither pair-length route, bit rows or match-point chain, keeps a table
     a = Word((1,) * 600, 2)

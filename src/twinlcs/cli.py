@@ -26,8 +26,9 @@ from .experiments import (SCHEMA_VERSION, SUITES, ExperimentConfig,
                           estimate_lt_tail, minimize_expected_lcs,
                           verify_suite)
 from .lcs import lcs_pair, lcs_reversible, set_lcs_stats
-from .twins import (lt_exact, lt_oracle, parse_roles, role_stats,
-                    roles_to_text, twins_via_blocks, twins_via_runs)
+from .twins import (DEFAULT_EXACT_LENGTH, DEFAULT_ORACLE_LENGTH, lt_exact,
+                    lt_oracle, parse_roles, role_stats, roles_to_text,
+                    twins_via_blocks, twins_via_runs)
 from .words import Word, parse_word
 
 
@@ -322,7 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
                        const="runs", help="run-pairing construction")
     group.add_argument("--blocks", dest="method", action="store_const",
                        const="blocks", help="blockwise construction")
-    p.add_argument("--max-length", type=int, default=None)
+    p.add_argument("--max-length", type=int, default=None,
+                   help="longest word the method accepts (default: exact "
+                   f"{DEFAULT_EXACT_LENGTH}, oracle {DEFAULT_ORACLE_LENGTH}; "
+                   "runs and blocks take any length)")
     p.set_defaults(func=_cmd_twins, method="exact")
 
     p = sub.add_parser("construct", parents=[common],

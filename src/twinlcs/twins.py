@@ -40,7 +40,7 @@ from .words import Word
 
 Roles = tuple[int, ...]
 
-DEFAULT_EXACT_LENGTH = 40
+DEFAULT_EXACT_LENGTH = 60
 DEFAULT_ORACLE_LENGTH = 14
 # Bounds time, not memory: the failure memo of the twin search keeps about
 # 100-130 bytes per state, so 5M states can hold about 0.6 GB.
@@ -271,7 +271,11 @@ class _TwinSearch:
 
     - ``end``: the index just past the greedy match of the owed letters
       in letters[pos:], or n + 1 when they cannot all be matched (pos
-      when nothing is owed).  The debt can be cleared iff end <= n.
+      when nothing is owed).  The queue is first in, first out, so the
+      2 of every further pair comes after the 2s of all owed letters,
+      the last of which sits at end - 1 or later: at most n - end more
+      pairs fit.  As need >= 0, ``need <= n - end`` also requires
+      end <= n, that is, that the debt can be cleared at all.
     - ``slack``: the sum over letters c of (c's left in letters[pos:]
       minus c's owed) // 2.  A further pair takes two copies of one
       letter that are not owed, so at most ``slack`` more pairs fit.
@@ -346,7 +350,7 @@ class _TwinSearch:
                 f"twin search exceeded {self.budget_nodes} states")
         if not debt and not need:  # only zeros remain, also at pos == n
             return (0,) * (self.n - pos)
-        if end <= self.n and need <= slack:
+        if need <= self.n - end and need <= slack:
             c = self.letters[pos]
             avail = self.left[pos] - debt.count(c)
             end0 = (end if debt and debt[0] != c

@@ -187,6 +187,8 @@ class ReferenceTwinSearch:
     must agree on roles and on the node count of every query.
     ``_clears`` walks the whole owed queue and ``_fits`` counts each
     letter of it afresh, which is what the package's search avoids.
+    Every further pair has its 2 after the owed letters' 2s, so
+    ``_clears`` also asks that ``need`` 2s fit after the greedy match.
     """
 
     def __init__(self, letters: Sequence[int], k: int, budget_nodes: int):
@@ -210,15 +212,16 @@ class ReferenceTwinSearch:
         self.next_at.reverse()
         self.counts.reverse()
 
-    def _clears(self, pos: int, debt: tuple[int, ...]) -> bool:
-        """Can the owed letters be matched, in order, within letters[pos:]?"""
+    def _clears(self, pos: int, debt: tuple[int, ...], need: int) -> bool:
+        """Can the owed letters be matched, in order, within letters[pos:],
+        with room for ``need`` further 2s after the greedy match?"""
         p = pos
         for c in debt:
             p = self.next_at[p][c]
             if p >= self.n:
                 return False
             p += 1
-        return True
+        return need <= self.n - p
 
     def _fits(self, pos: int, debt: tuple[int, ...], need: int) -> bool:
         """Do ``need`` further pairs fit the global and per-letter slack?"""
@@ -244,7 +247,7 @@ class ReferenceTwinSearch:
             raise SearchBudgetExceeded(self.budget_nodes)
         if not debt and not need:  # only zeros remain, also at pos == n
             return (0,) * (self.n - pos)
-        if self._clears(pos, debt) and self._fits(pos, debt, need):
+        if self._clears(pos, debt, need) and self._fits(pos, debt, need):
             c = self.letters[pos]
             found = self.find(pos + 1, debt, need)
             if found is not None:

@@ -164,8 +164,8 @@ def test_tail_monte_carlo_counts_words_reaching_the_threshold():
     hits = sum(lt_exact(sample_word(3, 24, 2, index=t)).length >= est.pairs
                for t in range(40))
     assert 0 < est.successes == hits < 40
-    with pytest.raises(ValueError, match="length <= 40"):
-        estimate_lt_tail(3, 41, 0.45, config)
+    with pytest.raises(ValueError, match="length <= 60"):
+        estimate_lt_tail(3, 61, 0.45, config)
 
 
 _TAIL_ORACLE_CASES = [(k, n) for k in range(1, 5) for n in range(1, 14)
@@ -192,13 +192,13 @@ def test_tail_exhaustive_route_honours_the_node_budget():
 
 def test_tail_length_cap_applies_to_the_exhaustive_route():
     # 1^n <= EXHAUSTIVE_CAP for every n, so k = 1 always enumerates; a
-    # small node budget shows that n = 40 takes one short search
-    est = estimate_lt_tail(1, 40, 0.5, ExperimentConfig(budget_nodes=200))
+    # small node budget shows that n = 60 takes one short search
+    est = estimate_lt_tail(1, 60, 0.5, ExperimentConfig(budget_nodes=200))
     assert (est.method, est.pairs, est.trials, est.exact) == (
-        "exhaustive", 20, 1, 1)
-    with pytest.raises(ValueError, match="length <= 40"):
-        estimate_lt_tail(1, 41, 0.5)
-    assert estimate_lt_tail(1, 41, 0.0).exact == 1
+        "exhaustive", 30, 1, 1)
+    with pytest.raises(ValueError, match="length <= 60"):
+        estimate_lt_tail(1, 61, 0.5)
+    assert estimate_lt_tail(1, 61, 0.0).exact == 1
 
 
 # -- permutation distributions ------------------------------------------------------

@@ -183,9 +183,36 @@ def test_length_guards_and_budget():
     with pytest.raises(ValueError):
         lt_oracle(Word((1,) * 15, 2))
     with pytest.raises(ValueError):
-        lt_exact(Word((1,) * 41, 2))
+        lt_exact(Word((1,) * 61, 2))
     with pytest.raises(BudgetError):
         lt_exact(Word(tuple(sample_word(4, 36, 5).letters), 4), budget_nodes=50)
+
+
+def test_minimal_certificate_matches_unpruned_oracle_exhaustive_ternary():
+    # the oracle's only cut is on free positions, so it cannot share a
+    # pruning error with the search: every ternary word up to 7 letters,
+    # at every length up to its twin length and one past it
+    for n in range(8):
+        for letters in itertools.product((1, 2, 3), repeat=n):
+            w = Word(letters, 3)
+            for m in itertools.count():
+                want = lexmin_monotone_roles(letters, m)
+                if want is None:
+                    with pytest.raises(ValueError):
+                        minimal_certificate(w, m)
+                    break
+                assert minimal_certificate(w, m).roles == want
+
+
+def test_exact_sixty_letters_within_a_small_budget():
+    # the bound on pairs after the owed letters' greedy end keeps each
+    # full ascent under 150k states (without it these take 210k-321k)
+    for i in range(4):
+        w = sample_word(4, 60, 0, index=i)
+        cert = lt_exact(w, budget_nodes=150_000)
+        assert cert.length == 26
+        assert is_twin_roles(w, cert.roles) and cert.is_monotone
+        assert twins_via_runs(w).length <= cert.length <= split_upper_bound(w)
 
 
 def test_regression_example_word():

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET_CELLS, check_budget
+from .errors import DEFAULT_BUDGET_CELLS, Record, check_budget
 
 
 E = math.e
@@ -51,6 +51,7 @@ class ThetaBreakdown:
                 + self.idle_term)
 
     def to_json(self) -> dict:
+        """Not the field rule: the terms are nested under ``terms``."""
         return {"alpha": self.alpha, "k": self.k, "value": self.value,
                 "terms": {"shape": self.shape_term, "match": self.match_term,
                           "switch": self.switch_term, "idle": self.idle_term}}
@@ -75,17 +76,13 @@ def theta(alpha: float, k: int) -> ThetaBreakdown:
 
 
 @dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(Record):
     """Smallest density at which the exponent has (just) turned negative."""
 
     k: int
     alpha: float
     theta: float
     bracket: tuple[float, float]
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "alpha": self.alpha, "theta": self.theta,
-                "bracket": list(self.bracket)}
 
 
 def _check_tol(tol: float) -> None:
@@ -130,17 +127,13 @@ def alpha_threshold(k: int, *, tol: float = 1e-9) -> Optional[ThresholdResult]:
 
 
 @dataclass(frozen=True)
-class AsymptoticThreshold:
+class AsymptoticThreshold(Record):
     """Large-alphabet approximations of the density threshold."""
 
     k: int
     leading: float  # e / sqrt(k)
     coarse: float   # e / sqrt(k) - e^2 / k
     refined: float  # e / sqrt(k) - (e^2 + 1/2) / k
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "leading": self.leading, "coarse": self.coarse,
-                "refined": self.refined}
 
 
 def asymptotic_threshold(k: int) -> AsymptoticThreshold:
@@ -239,7 +232,7 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float,
 
 
 @dataclass(frozen=True)
-class MinMaxConstant:
+class MinMaxConstant(Record):
     """min over x of max(1/3 + x^2/12, 1/2 - x/2), found numerically.
 
     The exact optimum sits where the two branches cross:
@@ -250,10 +243,6 @@ class MinMaxConstant:
     x: float
     exact_value: float
     exact_x: float
-
-    def to_json(self) -> dict:
-        return {"value": self.value, "x": self.x,
-                "exact_value": self.exact_value, "exact_x": self.exact_x}
 
 
 def minmax_constant() -> MinMaxConstant:
@@ -291,6 +280,7 @@ class LowerBoundValues:
     linear_offset: float
 
     def to_json(self) -> dict:
+        """Not the field rule: the Fractions are written as floats."""
         return {"k": self.k,
                 "per_letter": float(self.per_letter),
                 "improved": float(self.improved)
@@ -322,20 +312,17 @@ def _as_map(f: Sequence[Sequence[int]], s: int) -> Callable[[int, int], int]:
 
 
 @dataclass(frozen=True)
-class MonotoneImageResult:
+class MonotoneImageResult(Record):
     """Size of {(f1(x,y), f2(x,z), f3(y,z))} over the cube [s]^3."""
 
     s: int
     size: int
     floor: int  # ceil(s^2 / 6)
+    _json_extra = ("meets_floor",)
 
     @property
     def meets_floor(self) -> bool:
         return self.size >= self.floor
-
-    def to_json(self) -> dict:
-        return {"s": self.s, "size": self.size, "floor": self.floor,
-                "meets_floor": self.meets_floor}
 
 
 def strong_monotonicity_violation(f: Sequence[Sequence[int]], s: int

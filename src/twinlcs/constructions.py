@@ -98,6 +98,7 @@ class Ceiling:
     bound: object
 
     def to_json(self) -> dict:
+        """Not the field rule: a Fraction bound is a num/den dict."""
         bound = self.bound
         if isinstance(bound, Fraction):
             bound = {"num": bound.numerator, "den": bound.denominator}
@@ -119,6 +120,7 @@ class FamilyOutput:
         raise KeyError(name)
 
     def to_json(self) -> dict:
+        """Not the field rule: the params are written as a dict."""
         return {"family": self.family,
                 "params": {k: v for k, v in self.params},
                 "words": [w.to_json() for w in self.words],

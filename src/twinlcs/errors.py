@@ -1,6 +1,16 @@
-"""Shared exception types, and the cell budget with its one check: every
-super-linear call charges its work to ``check_budget`` before doing it.
-This module imports nothing, so every other module may use it."""
+"""Shared exception types, the cell budget with its one check, and the
+JSON rule of result records.
+
+Every super-linear call charges its work to ``check_budget`` before
+doing it.  A result record's JSON is its dataclass fields in order, then
+the properties its ``_json_extra`` names: tuples and lists as lists, a
+Fraction as text, and a value with a ``to_json`` as its own JSON.  Each
+record that is written otherwise says why in its own ``to_json``.  This
+module imports nothing from the package, so every other module may."""
+
+from dataclasses import fields
+from fractions import Fraction
+from typing import ClassVar
 
 DEFAULT_BUDGET_CELLS = 10**8
 
@@ -25,3 +35,24 @@ def check_budget(needed: int, budget: int, what: str, *,
         raise BudgetError(
             f"{what} needs {needed} {unit}, over the budget of "
             f"{budget}" + (f"; {hint}" if hint else ""))
+
+
+class Record:
+    """Base of the result records (see the module docstring).  Subclasses
+    set ``_json_extra`` without an annotation, or it becomes a field."""
+
+    _json_extra: ClassVar[tuple[str, ...]] = ()
+
+    def to_json(self) -> dict:
+        names = [f.name for f in fields(self)] + list(self._json_extra)
+        return {name: _json_value(getattr(self, name)) for name in names}
+
+
+def _json_value(value):
+    if isinstance(value, (int, float, str, type(None))):  # most, so first
+        return value
+    if isinstance(value, (tuple, list)):
+        return [_json_value(v) for v in value]
+    if isinstance(value, Fraction):
+        return str(value)
+    return value.to_json() if hasattr(value, "to_json") else value

@@ -27,7 +27,8 @@ from .bounds import (alpha_threshold, asymptotic_threshold,
 from .constructions import (FAMILY_BUILDERS, check_family, cube_quadruple,
                             grid_pair, multiperm_quadruple, quadratic_family,
                             stratified_family, tuplet_family)
-from .errors import DEFAULT_BUDGET_CELLS, BudgetError, InvalidCertificateError
+from .errors import (DEFAULT_BUDGET_CELLS, BudgetError,
+                     InvalidCertificateError, Record)
 from .twins import (DEFAULT_EXACT_LENGTH, DEFAULT_NODE_BUDGET, _TwinSearch,
                     _oracle_lengths, extract, find_regularity_violation,
                     is_monotone, is_regular_pair, is_twin_roles, lt_exact,
@@ -42,7 +43,7 @@ EXHAUSTIVE_CAP = 4096
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Record):
     """Seed, trial count and work budgets of a seeded experiment (the
     exhaustive cap is EXHAUSTIVE_CAP); reruns with an equal config
     produce bit-identical results."""
@@ -59,11 +60,6 @@ class ExperimentConfig:
             raise ValueError("trials must be positive")
         if self.budget_nodes < 1 or self.budget_cells < 1:
             raise ValueError("budgets must be positive")
-
-    def to_json(self) -> dict:
-        return {"seed": self.seed, "trials": self.trials,
-                "budget_nodes": self.budget_nodes,
-                "budget_cells": self.budget_cells}
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
@@ -117,7 +113,7 @@ def threshold_pairs(alpha: float, n: int) -> int:
 
 
 @dataclass(frozen=True)
-class TailEstimate:
+class TailEstimate(Record):
     """Estimated Pr[LT(w) >= ceil(alpha n)] for uniform w over [k]^n."""
 
     k: int
@@ -132,14 +128,6 @@ class TailEstimate:
     method: str  # "exact", "exhaustive" or "monte-carlo"
     exact: Optional[Fraction]
     config: ExperimentConfig
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "n": self.n, "alpha": self.alpha,
-                "pairs": self.pairs, "probability": self.probability,
-                "lo": self.lo, "hi": self.hi, "trials": self.trials,
-                "successes": self.successes, "method": self.method,
-                "exact": str(self.exact) if self.exact is not None else None,
-                "config": self.config.to_json()}
 
 
 def estimate_lt_tail(k: int, n: int, alpha: float,
@@ -248,13 +236,14 @@ def pairwise_lcs_table(k: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PermutationDistribution:
+class PermutationDistribution(Record):
     """Probability weights over all permutations of [k], in
     lexicographic order.  Rational weights must sum to exactly 1; real
     weights to 1 within 1e-12."""
 
     k: int
     weights: tuple
+    _json_extra = ("exact",)
 
     def __post_init__(self) -> None:
         size = math.factorial(self.k)
@@ -278,11 +267,6 @@ class PermutationDistribution:
     def uniform(cls, k: int) -> "PermutationDistribution":
         size = math.factorial(k)
         return cls(k, (Fraction(1, size),) * size)
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "exact": self.exact,
-                "weights": [str(w) if isinstance(w, Fraction) else w
-                            for w in self.weights]}
 
 
 def expected_lcs(dist: PermutationDistribution) -> Union[Fraction, float]:
@@ -387,7 +371,7 @@ def _local_minimum(table: np.ndarray,
 
 
 @dataclass(frozen=True)
-class MinimizeResult:
+class MinimizeResult(Record):
     """Best local minimum of the expected LCS found by multi-start
     pairwise-exchange search; heuristic, with no global claim."""
 
@@ -398,19 +382,12 @@ class MinimizeResult:
     starts: int
     best_start: int
     config: ExperimentConfig
+    _json_extra = ("below_conjectured_floor",)
 
     @property
     def below_conjectured_floor(self) -> bool:
         """True would refute the sqrt(k) conjecture (up to numerics)."""
         return self.value < math.sqrt(self.k) - 1e-9
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "value": self.value,
-                "uniform_value": self.uniform_value,
-                "starts": self.starts, "best_start": self.best_start,
-                "below_conjectured_floor": self.below_conjectured_floor,
-                "distribution": self.distribution.to_json(),
-                "config": self.config.to_json()}
 
 
 def minimize_expected_lcs(k: int,
@@ -452,17 +429,14 @@ def minimize_expected_lcs(k: int,
 
 
 @dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     ok: bool
     detail: str = ""
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "ok": self.ok, "detail": self.detail}
-
 
 @dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Record):
     suite: str
     ok: bool
     checks: tuple[CheckResult, ...]
@@ -474,10 +448,6 @@ class SuiteReport:
         lines.append(f"suite {self.suite}: "
                      f"{'all checks passed' if self.ok else 'FAILURES'}")
         return lines
-
-    def to_json(self) -> dict:
-        return {"suite": self.suite, "ok": self.ok,
-                "checks": [c.to_json() for c in self.checks]}
 
 
 def _run_check(name: str, fn: Callable[..., Optional[str]],
@@ -591,7 +561,7 @@ def _suite_roles(config: ExperimentConfig) -> list[CheckResult]:
     def union_bound_sound() -> str:
         n = 10
         words = np.array(list(itertools.product((1, 2), repeat=n)))
-        tail = Counter(_oracle_lengths(words, 2).tolist())
+        tail = Counter(_oracle_lengths(words).tolist())
         total = 2 ** n
         for m in range(n // 2 + 1):
             exact = Fraction(sum(v for lt, v in tail.items() if lt >= m),
@@ -612,7 +582,7 @@ def _suite_twins_oracle(config: ExperimentConfig) -> list[CheckResult]:
         count = 0
         for n in range(1, 11):
             batch = list(itertools.product((1, 2), repeat=n))
-            oracles = _oracle_lengths(np.array(batch), 2).tolist()
+            oracles = _oracle_lengths(np.array(batch)).tolist()
             for letters, oracle in zip(batch, oracles):
                 word = Word(letters, 2)
                 exact = lt_exact(word).length
@@ -623,7 +593,7 @@ def _suite_twins_oracle(config: ExperimentConfig) -> list[CheckResult]:
     def random_ternary() -> str:
         words = [sample_word(3, 9, config.seed, index=index)
                  for index in range(150)]
-        oracles = _oracle_lengths(np.array([w.letters for w in words]), 3)
+        oracles = _oracle_lengths(np.array([w.letters for w in words]))
         for word, oracle in zip(words, oracles.tolist()):
             exact = lt_exact(word).length
             assert exact == oracle, (word.to_compact(), exact, oracle)

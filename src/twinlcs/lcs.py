@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET_CELLS, check_budget
+from .errors import DEFAULT_BUDGET_CELLS, Record, check_budget
 from .words import Word
 
 
@@ -53,6 +53,7 @@ class LcsResult:
     indices: Optional[tuple[tuple[int, ...], ...]] = None
 
     def to_json(self) -> dict:
+        """Not the field rule: the word as text, and no None fields."""
         out: dict = {"length": self.length}
         if self.word is not None:
             out["word"] = self.word.to_text()
@@ -295,7 +296,7 @@ def lcs_pair(a: Word, b: Word, *, witness: bool = True,
 
 
 @dataclass(frozen=True)
-class ReversibleResult:
+class ReversibleResult(Record):
     """max(LCS(a, b), LCS(a, reverse(b))) and which orientation won.
 
     Ties prefer the forward orientation.  Witness indices for the reverse
@@ -305,10 +306,6 @@ class ReversibleResult:
     length: int
     orientation: str  # "forward" | "reverse"
     detail: LcsResult
-
-    def to_json(self) -> dict:
-        return {"length": self.length, "orientation": self.orientation,
-                "detail": self.detail.to_json()}
 
 
 def lcs_reversible(a: Word, b: Word, *, witness: bool = False,
@@ -378,17 +375,13 @@ def lcs_multi(words: Sequence[Word], *, witness: bool = True,
 
 
 @dataclass(frozen=True)
-class SetLcsStats:
+class SetLcsStats(Record):
     """Pairwise LCS table of a word set plus the best T-subset joint LCS."""
 
     t: int
     pairwise: tuple[tuple[int, ...], ...]
     value: int
     best_subset: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {"t": self.t, "pairwise": [list(r) for r in self.pairwise],
-                "value": self.value, "best_subset": list(self.best_subset)}
 
 
 def set_lcs_stats(words: Sequence[Word], t: int, *,

@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import (DEFAULT_BUDGET_CELLS, BudgetError,
-                     InvalidCertificateError, check_budget)
+                     InvalidCertificateError, Record, check_budget)
 from .lcs import lcs_len, lcs_pair
 from .words import Word
 
@@ -95,6 +95,7 @@ class TwinCertificate:
         return Word(tuple(self.word[i] for i in self.first), self.word.k)
 
     def to_json(self) -> dict:
+        """Not the field rule: the roles as text, plus ``monotone``."""
         return {
             "word": self.word.to_json(),
             "roles": roles_to_text(self.roles),
@@ -148,7 +149,7 @@ def is_twin_roles(word: Word, roles: Roles) -> bool:
 
 
 @dataclass(frozen=True)
-class RoleStats:
+class RoleStats(Record):
     """Counts read off a role word.
 
     pairs: number of 1s (= number of 2s).
@@ -162,10 +163,6 @@ class RoleStats:
     pairs: int
     switches: int
     leading_zeros: int
-
-    def to_json(self) -> dict:
-        return {"length": self.length, "pairs": self.pairs,
-                "switches": self.switches, "leading_zeros": self.leading_zeros}
 
 
 def role_stats(roles: Roles) -> RoleStats:
@@ -217,7 +214,7 @@ def monotonize(cert: TwinCertificate) -> TwinCertificate:
 
 
 @dataclass(frozen=True)
-class RegularityViolation:
+class RegularityViolation(Record):
     """A forbidden same-letter pattern inside a certificate.
 
     kind "switch": position ``left`` has role 2, position ``right`` has
@@ -229,9 +226,6 @@ class RegularityViolation:
     kind: str
     left: int
     right: int
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "left": self.left, "right": self.right}
 
 
 def find_regularity_violation(word: Word,
@@ -493,18 +487,20 @@ def _any_twins(letters: np.ndarray, ones: np.ndarray,
     return hit
 
 
-def _oracle_lengths(letters: np.ndarray, k: int) -> np.ndarray:
-    """Maximum twin length of each row of a (count, n) array of letters
-    in 1..k, by brute enumeration of monotone role words.
+def _oracle_lengths(letters: np.ndarray) -> np.ndarray:
+    """Maximum twin length of each row of a (count, n) array of positive
+    letters, by brute enumeration of monotone role words.
 
     Works from the largest pair count down; at each count it tests only
     the rows not yet settled whose per-letter slack allows that many
-    pairs, against every role word of the table.
+    pairs, against every role word of the table.  The slack takes one
+    array pass per letter that occurs, whatever the alphabet.
     """
-    letters = np.asarray(letters).astype(np.min_scalar_type(k))
+    letters = np.asarray(letters)
+    letters = letters.astype(np.min_scalar_type(letters.max(initial=0)))
     count, n = letters.shape
     slack = np.minimum(n // 2, sum((letters == c).sum(axis=1) // 2
-                                   for c in range(1, k + 1)))
+                                   for c in set(letters.ravel().tolist())))
     lengths = np.zeros(count, dtype=np.intp)
     todo = np.flatnonzero(slack)
     for m in range(int(slack.max(initial=0)), 0, -1):
@@ -532,7 +528,7 @@ def lt_oracle(word: Word, *, max_length: int = DEFAULT_ORACLE_LENGTH) -> int:
     if n > max_length:
         raise ValueError(
             f"oracle enumeration supports length <= {max_length}, got {n}")
-    return int(_oracle_lengths(np.array([word.letters]), word.k)[0])
+    return int(_oracle_lengths(np.array([word.letters]))[0])
 
 
 # -- cheap bounds and quick constructions ------------------------------------
@@ -540,13 +536,7 @@ def lt_oracle(word: Word, *, max_length: int = DEFAULT_ORACLE_LENGTH) -> int:
 
 def run_count(word: Word) -> int:
     """Number of maximal blocks of one repeated letter."""
-    runs = 0
-    prev = None
-    for c in word:
-        if c != prev:
-            runs += 1
-            prev = c
-    return runs
+    return sum(1 for _ in itertools.groupby(word))
 
 
 def split_upper_bound(word: Word) -> int:
@@ -580,24 +570,16 @@ def split_upper_bound(word: Word) -> int:
 def twins_via_runs(word: Word) -> TwinCertificate:
     """Twins from repeated letters: each run of length L yields
     floor(L/2) pairs, so the total is at least (n - #runs) / 2."""
-    n = len(word)
-    roles = [0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j < n and word[j] == word[i]:
-            j += 1
-        half = (j - i) // 2
-        for off in range(half):
-            roles[i + off] = 1
-        for off in range(half, 2 * half):
-            roles[i + off] = 2
-        i = j
+    roles: list[int] = []
+    for _, run in itertools.groupby(word):
+        size = len(list(run))
+        half = size // 2
+        roles += [1] * half + [2] * half + [0] * (size % 2)
     return extract(word, tuple(roles))
 
 
 @dataclass(frozen=True)
-class BlockTwinsResult:
+class BlockTwinsResult(Record):
     """Twins assembled from disjoint blocks of 3k consecutive positions.
 
     Each full block is split into three length-k tracks by position
@@ -609,16 +591,11 @@ class BlockTwinsResult:
     certificate: TwinCertificate
     block_values: tuple[int, ...]
     per_block_floor: float
+    _json_extra = ("floor_met",)
 
     @property
     def floor_met(self) -> bool:
         return all(v >= self.per_block_floor for v in self.block_values)
-
-    def to_json(self) -> dict:
-        return {"certificate": self.certificate.to_json(),
-                "block_values": list(self.block_values),
-                "per_block_floor": self.per_block_floor,
-                "floor_met": self.floor_met}
 
 
 def twins_via_blocks(word: Word) -> BlockTwinsResult:
@@ -659,29 +636,31 @@ def random_monotone_certificate(word: Word,
     At each position one of the roles 0, 1, 2 is drawn uniformly among
     those after which the owed letters still fit into the remainder of
     the word, so the walk never dead-ends.  The walk retries until at
-    least one pair lands.
+    least one pair lands.  It carries the owed letters' greedy end as
+    the twin search does: every state it reaches has end <= n, so role
+    2 is always open when the letter heads the queue.
     """
     n = len(word)
-    search = _TwinSearch(word)  # reused for its greedy matching
+    search = _TwinSearch(word)  # reused for its transitions
     for _ in range(_MONOTONE_TRIES):
         debt: Roles = ()
         roles = []
-        pairs = 0
+        end = 0
         for pos in range(n):
             c = word[pos]
+            end0 = (end if debt and debt[0] != c
+                    else search.greedy_end(pos + 1, debt))
+            end1 = search.next_at[end0][c] + 1
             options = []
-            if search.greedy_end(pos + 1, debt) <= n:
-                options.append((0, debt))
-            if search.greedy_end(pos + 1, debt + (c,)) <= n:
-                options.append((1, debt + (c,)))
-            if (debt and debt[0] == c
-                    and search.greedy_end(pos + 1, debt[1:]) <= n):
-                options.append((2, debt[1:]))
-            role, debt = options[int(rng.integers(len(options)))]
-            if role == 1:
-                pairs += 1
+            if end0 <= n:
+                options.append((0, debt, end0))
+            if end1 <= n:
+                options.append((1, debt + (c,), end1))
+            if debt and debt[0] == c:
+                options.append((2, debt[1:], end))
+            role, debt, end = options[int(rng.integers(len(options)))]
             roles.append(role)
-        if pairs:
+        if 1 in roles:
             return extract(word, tuple(roles))
     raise ValueError("no certificate with pairs found; word may lack"
                      " repeated letters")

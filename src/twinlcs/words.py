@@ -11,13 +11,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from .errors import DEFAULT_BUDGET_CELLS, check_budget
+from .errors import DEFAULT_BUDGET_CELLS, Record, check_budget
 
 Letters = tuple[int, ...]
 
 
 @dataclass(frozen=True)
-class Word:
+class Word(Record):
     """An immutable word over the alphabet {1, ..., k}."""
 
     letters: Letters
@@ -60,9 +60,6 @@ class Word:
         if self.k > 9:
             raise ValueError("compact form needs an alphabet of at most 9 digits")
         return "".join(str(a) for a in self.letters)
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "letters": list(self.letters)}
 
 
 def parse_word(text: str) -> Word:

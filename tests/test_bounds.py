@@ -278,6 +278,8 @@ def test_sharp_tables_hit_square():
         assert res.size == s * s
         assert res.floor == -(-s * s // 6)
         assert res.meets_floor
+    assert monotone_image(*sharp_image_tables(4), 4).to_json() == {
+        "s": 4, "size": 16, "floor": 3, "meets_floor": True}
 
 
 def test_monotone_image_rejects_violations():

@@ -296,6 +296,68 @@ def test_construct_json_golden(capsys):
                    {"ceiling": rev_ceiling, "ok": True, "value": 1}]}
 
 
+# One --json document per result type that no other test pins, without the
+# schema_version key; the dump sorts keys, so equal documents print equal bytes.
+JSON_GOLDEN = {
+    "lcs 12312 21321 --reversible": {
+        "detail": {"indices": [[0, 1, 2, 3, 4], [0, 1, 2, 3, 4]],
+                   "length": 5, "word": "k=3;w=1,2,3,1,2"},
+        "length": 5, "orientation": "reverse"},
+    "lcs-set 1212 2121 1122 --t 3": {
+        "best_subset": [0, 1, 2],
+        "pairwise": [[4, 3, 3], [3, 4, 2], [3, 2, 4]], "t": 3, "value": 2},
+    "twins 0110010010101101": {
+        "first": [1, 4, 5, 6, 8, 9, 12], "length": 7, "monotone": True,
+        "roles": "0120111211221222", "second": [2, 7, 10, 11, 13, 14, 15],
+        "word": {"k": 2, "letters": [1, 2, 2, 1, 1, 2, 1, 1, 2, 1, 2, 1, 2,
+                                     2, 1, 2]}},
+    "twins 112122112212211221 --blocks": {
+        "block_values": [1, 1, 1],
+        "certificate": {
+            "first": [0, 6, 12], "length": 3, "monotone": True,
+            "roles": "120000120000100020", "second": [1, 7, 16],
+            "word": {"k": 2, "letters": [1, 1, 2, 1, 2, 2, 1, 1, 2, 2, 1, 2,
+                                         2, 1, 1, 2, 2, 1]}},
+        "floor_met": True, "per_block_floor": 0.8735804647362989},
+    "bound threshold --k 4": {
+        "alpha": 0.49315688037872313,
+        "bracket": [0.4931568794250488, 0.49315688037872313], "k": 4,
+        "theta": -2.313046822653708e-09},
+    "bound constants --k 3": {
+        "asymptotic": {"coarse": -0.8936179542494518, "k": 3,
+                       "leading": 1.569400745394098,
+                       "refined": -1.0602846209161187},
+        "lower_bounds": {
+            "improved": 0.34, "k": 3, "linear_offset": 1.0,
+            "linear_slope": 0.11111111111111113,
+            "minmax": {"exact_value": 0.3416876048223001,
+                       "exact_x": 0.3166247903553998,
+                       "value": 0.3416876048223144,
+                       "x": 0.3166247903556716},
+            "per_letter": 0.3333333333333333}},
+    "verify bounds": {
+        "checks": [
+            {"detail": "k=4 alpha=0.493157, k=5 alpha=0.479976",
+             "name": "density thresholds", "ok": True},
+            {"detail": "theta stays negative up to 1/2",
+             "name": "exponent negative above threshold", "ok": True},
+            {"detail": "threshold below coarse form at k=4000, gap "
+                       "19.3k^-3/2",
+             "name": "asymptotic ordering", "ok": True},
+            {"detail": "min-max constant 0.341687605",
+             "name": "lower-bound constants", "ok": True}],
+        "ok": True, "suite": "bounds"},
+}
+
+
+@pytest.mark.parametrize("cmd", JSON_GOLDEN)
+def test_json_golden(capsys, cmd):
+    code, out, err = run(capsys, "--json", *cmd.split())
+    assert (code, err) == (0, "")
+    assert out == json.dumps({"schema_version": 1, **JSON_GOLDEN[cmd]},
+                             indent=2, sort_keys=True) + "\n"
+
+
 def test_construct_bad_ms_exits_2(capsys):
     code, out, err = run(capsys, "construct", "stratified", "--k", "2",
                          "--n", "8", "--ms", "1,x")

@@ -148,7 +148,7 @@ def test_tail_monte_carlo_interval_covers_truth():
     # against an independent Monte Carlo run
     m = threshold_pairs(0.4, 13)
     words = np.array(list(itertools.product((1, 2), repeat=13)))
-    hits = int((_oracle_lengths(words, 2) >= m).sum())
+    hits = int((_oracle_lengths(words) >= m).sum())
     truth = hits / 2 ** 13
     config = ExperimentConfig(seed=3, trials=400)
     est = estimate_lt_tail(2, 13, 0.4, config)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -88,6 +89,8 @@ def test_role_stats():
     stats = role_stats(parse_roles("012112021200"))
     assert (stats.pairs, stats.switches, stats.leading_zeros) == (4, 2, 1)
     assert stats.length == 12
+    assert stats.to_json() == {"length": 12, "pairs": 4, "switches": 2,
+                               "leading_zeros": 1}
     assert role_stats(()).pairs == 0
     with pytest.raises(InvalidCertificateError):
         role_stats((1, 1, 2))
@@ -307,26 +310,33 @@ def test_oracle_lengths_match_brute_force_per_length():
     for k, top in ((2, 8), (3, 5)):
         for n in range(top + 1):
             words, letters = _batch(k, n)
-            assert (_oracle_lengths(letters, k).tolist()
+            assert (_oracle_lengths(letters).tolist()
                     == [brute_twins(w) for w in words]), (k, n)
 
 
 def test_oracle_lengths_edge_batches():
-    assert _oracle_lengths(np.zeros((0, 6), dtype=np.int64), 2).shape == (0,)
+    assert _oracle_lengths(np.zeros((0, 6), dtype=np.int64)).shape == (0,)
     empty_words = np.zeros((3, 0), dtype=np.int64)
-    assert _oracle_lengths(empty_words, 2).tolist() == [0] * 3
-    assert _oracle_lengths(np.array([[1], [2]]), 2).tolist() == [0, 0]
+    assert _oracle_lengths(empty_words).tolist() == [0] * 3
+    assert _oracle_lengths(np.array([[1], [2]])).tolist() == [0, 0]
     for n in range(13):
         letters = np.array([[1] * n, [3] * n]).reshape(2, n)
-        assert _oracle_lengths(letters, 3).tolist() == [n // 2] * 2
+        assert _oracle_lengths(letters).tolist() == [n // 2] * 2
         assert lt_oracle(Word((2,) * n, 2)) == n // 2
+
+
+def test_oracle_pays_for_the_letters_that_occur_not_the_alphabet():
+    # one array pass per letter of [k] took about 5 s of CPU at k = 10**6
+    start = time.process_time()
+    assert lt_oracle(Word((1, 2, 1, 2, 10**6), 10**6)) == 2
+    assert time.process_time() - start < 0.5
 
 
 def test_oracle_lengths_across_chunks():
     # 4096 words times 132 rows of 6 pairs already exceeds one step at m=6
     words, letters = _batch(2, 12)
     assert letters.shape[0] * 132 * 6 > twins._CHUNK_LETTERS
-    assert (_oracle_lengths(letters, 2).tolist()
+    assert (_oracle_lengths(letters).tolist()
             == [lt_exact(Word(w, 2)).length for w in words])
 
 
@@ -334,7 +344,7 @@ def test_oracle_lengths_split_table_rows(monkeypatch):
     # a step smaller than one word's table splits the table rows too
     words = [sample_word(3, 11, 4, index=i) for i in range(40)]
     monkeypatch.setattr(twins, "_CHUNK_LETTERS", 50)
-    got = _oracle_lengths(np.array([w.letters for w in words]), 3)
+    got = _oracle_lengths(np.array([w.letters for w in words]))
     assert got.tolist() == [lt_exact(w).length for w in words]
 
 
@@ -412,6 +422,7 @@ def test_find_regularity_violation_kinds():
     # switch: a 1 right after a 2 holding the same letter
     v = find_regularity_violation(parse_word("1111"), (1, 2, 1, 2))
     assert v is not None and v.kind == "switch" and (v.left, v.right) == (1, 2)
+    assert v.to_json() == {"kind": "switch", "left": 1, "right": 2}
 
 
 # -- lower-bound heuristics -------------------------------------------------------
@@ -489,3 +500,16 @@ def test_random_monotone_certificate():
         assert is_twin_roles(w, cert.roles)
     with pytest.raises(ValueError):
         random_monotone_certificate(parse_word("123456"), rng)
+
+
+@pytest.mark.parametrize("k, n, index, roles", [
+    (2, 16, 0, "0110012110220202"),
+    (3, 24, 1, "120001200100211021122002"),
+    (4, 30, 2, "001011111001002222010022000022"),
+])
+def test_random_monotone_certificate_pinned_roles(k, n, index, roles):
+    # the walk's exact roles for seeded words and streams, so a change in
+    # how it tests feasibility cannot change its draws unnoticed
+    word = sample_word(k, n, 0, index=index)
+    cert = random_monotone_certificate(word, substream(7, index))
+    assert roles_to_text(cert.roles) == roles

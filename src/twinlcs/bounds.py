@@ -210,33 +210,15 @@ def union_bound(k: int, n: int, pairs: int) -> Fraction:
 # -- numeric constants -------------------------------------------------------
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float,
-                tol: float) -> float:
-    """Golden-section minimum of a unimodal function on [lo, hi], to width
-    tol or until a probe rounds onto an end and the bracket cannot shrink."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv * (b - a)
-    d = a + inv * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol and a < c < b and a < d < b:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
-
-
 @dataclass(frozen=True)
 class MinMaxConstant(Record):
-    """min over x of max(1/3 + x^2/12, 1/2 - x/2), found numerically.
+    """min over x in [0, 1] of max(1/3 + x^2/12, 1/2 - x/2), found
+    numerically.
 
-    The exact optimum sits where the two branches cross:
-    x = sqrt(11) - 3 and value (4 - sqrt(11)) / 2.
+    The rising branch starts below the falling one and ends above it, so
+    the minimum sits where they cross: x = sqrt(11) - 3 and value
+    (4 - sqrt(11)) / 2.  ``x`` is the first float past the crossing found
+    by bisection, and ``value`` the max of the branches there.
     """
 
     value: float
@@ -246,21 +228,20 @@ class MinMaxConstant(Record):
 
 
 def minmax_constant() -> MinMaxConstant:
-    def f(x: float) -> float:
-        return max(1.0 / 3.0 + x * x / 12.0, 0.5 - x / 2.0)
-
-    # coarse grid to bracket the minimum, then golden-section refinement
-    grid = [i * 1e-3 for i in range(0, 1001)]
-    best = min(grid, key=f)
-    lo = max(0.0, best - 2e-3)
-    hi = min(1.0, best + 2e-3)
-    x = _golden_min(f, lo, hi, 1e-12)
-    return MinMaxConstant(f(x), x, (4.0 - math.sqrt(11.0)) / 2.0,
+    # bisect the crossing down to adjacent floats
+    lo, hi = 0.0, 1.0
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        if 1.0 / 3.0 + mid * mid / 12.0 < 0.5 - mid / 2.0:
+            lo = mid
+        else:
+            hi = mid
+    value = max(1.0 / 3.0 + hi * hi / 12.0, 0.5 - hi / 2.0)
+    return MinMaxConstant(value, hi, (4.0 - math.sqrt(11.0)) / 2.0,
                           math.sqrt(11.0) - 3.0)
 
 
 @dataclass(frozen=True)
-class LowerBoundValues:
+class LowerBoundValues(Record):
     """Proven lower-bound constants for twin density at alphabet size k.
 
     per_letter: the easy density 1/k.
@@ -278,16 +259,6 @@ class LowerBoundValues:
     minmax: MinMaxConstant
     linear_slope: float
     linear_offset: float
-
-    def to_json(self) -> dict:
-        """Not the field rule: the Fractions are written as floats."""
-        return {"k": self.k,
-                "per_letter": float(self.per_letter),
-                "improved": float(self.improved)
-                if self.improved is not None else None,
-                "minmax": self.minmax.to_json(),
-                "linear_slope": self.linear_slope,
-                "linear_offset": self.linear_offset}
 
 
 def lower_bound_values(k: int) -> LowerBoundValues:

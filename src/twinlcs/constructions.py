@@ -26,12 +26,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DEFAULT_BUDGET_CELLS, BudgetError
+from .errors import DEFAULT_BUDGET_CELLS, BudgetError, Record
 from .lcs import lcs_len, lcs_multi
 from .words import Word
 
@@ -85,7 +84,7 @@ def _sorted_word(letters: np.ndarray, keys: Sequence[np.ndarray],
 
 
 @dataclass(frozen=True)
-class Ceiling:
+class Ceiling(Record):
     """A certified upper bound on a common-subsequence value.
 
     mode "lcs": LCS of the two indexed words.
@@ -95,15 +94,7 @@ class Ceiling:
 
     indices: tuple[int, ...]
     mode: str
-    bound: object
-
-    def to_json(self) -> dict:
-        """Not the field rule: a Fraction bound is a num/den dict."""
-        bound = self.bound
-        if isinstance(bound, Fraction):
-            bound = {"num": bound.numerator, "den": bound.denominator}
-        return {"indices": list(self.indices), "mode": self.mode,
-                "bound": bound}
+    bound: int
 
 
 @dataclass(frozen=True)
@@ -346,7 +337,8 @@ def stratified_family(k: int, n: int, ms: Sequence[int]) -> FamilyOutput:
     words and the two staircases, with LCS(w_m1, w_m2) <= (1/k + m1/m2) n
     for m1 < m2.
 
-    Every m in ms must satisfy mk | n.  The ascending staircase equals
+    Every m in ms must satisfy mk | n, so n/k and m1 n / m2 are whole
+    and every ceiling is an integer.  The ascending staircase equals
     w_(n/k) and is omitted when that word is already present.
     """
     if k < 1 or n < 1:
@@ -374,9 +366,9 @@ def stratified_family(k: int, n: int, ms: Sequence[int]) -> FamilyOutput:
     stair, rstair = index_of_m[step], len(words)
     words.append(words[stair].reversed())
 
-    per_letter = Fraction(n, k)
+    per_letter = n // k
     strat = sorted(index_of_m.items())
-    ceilings = [Ceiling((i1, i2), "lcs", per_letter + Fraction(m1, m2) * n)
+    ceilings = [Ceiling((i1, i2), "lcs", per_letter + m1 * (n // m2))
                 for (m1, i1), (m2, i2) in itertools.combinations(strat, 2)]
     ceilings += [Ceiling(pair, "lcs", 0)
                  for pair in itertools.combinations(consts, 2)]

@@ -11,12 +11,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .twins import (DEFAULT_EXACT_LENGTH, DEFAULT_NODE_BUDGET, _TwinSearch,
                     is_monotone, is_regular_pair, is_twin_roles, lt_exact,
                     parse_roles, random_monotone_certificate, regularize,
                     role_stats, run_count, twins_via_blocks, twins_via_runs)
-from .words import Word
+from .words import Word, _lis
 
 SCHEMA_VERSION = 1
 Z95 = 1.959963984540054
@@ -183,15 +182,6 @@ def permutations_of(k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.permutations(range(1, k + 1)))
 
 
-def _lis(seq: Sequence[int]) -> int:
-    """Length of the longest increasing subsequence (patience sorting)."""
-    tops: list[int] = []
-    for x in seq:
-        at = bisect_left(tops, x)
-        tops[at:at + 1] = [x]
-    return len(tops)
-
-
 # rows of the pairwise table coded per array step (a 16 x k! block of codes)
 _TABLE_ROWS = 16
 
@@ -223,7 +213,7 @@ def pairwise_lcs_table(k: int) -> np.ndarray:
     letters = np.array(perms) - 1
     place = k ** np.arange(k - 1, -1, -1)
     lis = np.zeros(k ** k, dtype=np.int16)
-    lis[letters @ place] = [_lis(p) for p in perms]
+    lis[letters @ place] = [_lis(p, k + 1) for p in perms]
     # row i of inverse holds the 0-based position of each letter in pi_i
     inverse = np.argsort(letters, axis=1)
     weights = place[inverse].T

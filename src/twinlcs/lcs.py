@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import DEFAULT_BUDGET_CELLS, Record, check_budget
-from .words import Word
+from .words import Word, _lis
 
 
 @dataclass(frozen=True)
@@ -98,11 +98,11 @@ def _pair_chain(a: Sequence[int], b: Sequence[int],
     A match point (i, j) has a[i] == b[j]; a common subsequence is a chain
     of points that grows strictly in both coordinates.  Listed by i
     ascending and, at one i, by j descending, the chains are the strictly
-    increasing subsequences of the j's, and patience sorting finds the
-    longest with one bisection per point.  The last pile top is a sentinel
-    len(b), above every j.  The setup costs O(len(a) + len(b)), whatever
-    the alphabet: letters far above the word lengths are renumbered first.
-    The point list takes O(``most``) memory.
+    increasing subsequences of the j's, and patience sorting (``_lis``,
+    every j below len(b)) finds the longest with one bisection per point.
+    The setup costs O(len(a) + len(b)), whatever the alphabet: letters far
+    above the word lengths are renumbered first.  The point list takes
+    O(``most``) memory.
     """
     n = len(b)
     x = np.fromiter(a, np.int64, len(a))
@@ -119,13 +119,7 @@ def _pair_chain(a: Sequence[int], b: Sequence[int],
     first = np.cumsum(count) - count  # where each letter starts in order
     ends = np.cumsum(per)
     js = order[np.arange(points) + np.repeat(first[x] - ends + per, per)]
-    tops = [n]
-    for j in js.tolist():
-        h = bisect_left(tops, j)
-        if tops[h] == n:
-            tops.append(n)
-        tops[h] = j
-    return len(tops) - 1
+    return _lis(js.tolist(), n)
 
 
 def lcs_len(a: Word, b: Word) -> int:

@@ -291,7 +291,16 @@ class _TwinSearch:
     """
 
     def __init__(self, word: Word, budget_nodes: int = DEFAULT_NODE_BUDGET):
-        self.letters = letters = word.letters
+        letters, k = word.letters, word.k
+        if k > len(letters):
+            # the tables are sized by the alphabet, so a word with fewer
+            # letters than that is renamed 1..k' in order of first
+            # occurrence; roles are positions, so no answer changes
+            names: dict[int, int] = {}
+            letters = tuple(names.setdefault(c, len(names) + 1)
+                            for c in letters)
+            k = len(names)
+        self.letters = letters
         self.n = n = len(letters)
         self.budget_nodes = budget_nodes
         self.nodes = 0
@@ -300,7 +309,7 @@ class _TwinSearch:
         # next_at[p][c]: first index >= p holding c, else n (rows n and
         # n + 1 are all n, so an unmatched debt stays at n + 1);
         # left[p]: occurrences of letters[p] in letters[p:]
-        nxt, seen = [n] * (word.k + 1), [0] * (word.k + 1)
+        nxt, seen = [n] * (k + 1), [0] * (k + 1)
         self.next_at = [tuple(nxt)] * 2
         self.left = [0] * n
         for p in range(n - 1, -1, -1):
@@ -647,7 +656,7 @@ def random_monotone_certificate(word: Word,
         roles = []
         end = 0
         for pos in range(n):
-            c = word[pos]
+            c = search.letters[pos]
             end0 = (end if debt and debt[0] != c
                     else search.greedy_end(pos + 1, debt))
             end1 = search.next_at[end0][c] + 1

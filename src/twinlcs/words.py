@@ -87,6 +87,20 @@ def parse_word(text: str) -> Word:
     return Word(tuple(digits), max(digits))
 
 
+def _lis(seq: Iterable[int], above: int) -> int:
+    """Length of the longest strictly increasing subsequence of ``seq``,
+    whose entries all lie below ``above``, by patience sorting.  The last
+    pile top is the sentinel ``above``, so each entry costs one bisection
+    and no length check."""
+    tops = [above]
+    for x in seq:
+        h = bisect_left(tops, x)
+        if tops[h] == above:
+            tops.append(above)
+        tops[h] = x
+    return len(tops) - 1
+
+
 # -- regularity -------------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 """Tail calculus: exponent density, thresholds, role counts, constants."""
 
+import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -247,6 +249,26 @@ def test_minmax_constant():
     # the two curves cross at the optimum
     x = res.x
     assert 1 / 3 + x * x / 12 == pytest.approx(1 / 2 - x / 2, abs=1e-6)
+
+
+def test_minmax_constant_within_two_ulps_of_the_crossing():
+    # the bisection stops at adjacent floats around sqrt(11) - 3
+    root = Decimal(11).sqrt()
+    res = minmax_constant()
+    for got, exact in ((res.x, root - 3), (res.value, (4 - root) / 2)):
+        assert abs(Decimal(got) - exact) <= 2 * Decimal(math.ulp(got))
+
+
+@pytest.mark.parametrize("k", [2, 3, 7])
+def test_lower_bound_json_keeps_exact_rationals(k):
+    vals = lower_bound_values(k)
+    doc = vals.to_json()
+    assert Fraction(doc["per_letter"]) == vals.per_letter == Fraction(1, k)
+    if k == 2:
+        assert doc["improved"] is vals.improved is None
+    else:
+        assert Fraction(doc["improved"]) == vals.improved
+    json.dumps(doc)
 
 
 def test_lower_bound_values():

@@ -328,13 +328,13 @@ JSON_GOLDEN = {
                        "leading": 1.569400745394098,
                        "refined": -1.0602846209161187},
         "lower_bounds": {
-            "improved": 0.34, "k": 3, "linear_offset": 1.0,
+            "improved": "17/50", "k": 3, "linear_offset": 1.0,
             "linear_slope": 0.11111111111111113,
             "minmax": {"exact_value": 0.3416876048223001,
                        "exact_x": 0.3166247903553998,
-                       "value": 0.3416876048223144,
-                       "x": 0.3166247903556716},
-            "per_letter": 0.3333333333333333}},
+                       "value": 0.34168760482230004,
+                       "x": 0.3166247903553999},
+            "per_letter": "1/3"}},
     "verify bounds": {
         "checks": [
             {"detail": "k=4 alpha=0.493157, k=5 alpha=0.479976",

@@ -339,12 +339,17 @@ def test_family_output_json():
     assert all({"indices", "mode", "bound"} <= set(c) for c in doc["ceilings"])
 
 
-def test_ceiling_fraction_bound_json():
-    out = stratified_family(2, 8, (1, 4))
-    frac = [c for c in out.ceilings if isinstance(c.bound, Fraction)]
-    assert frac
-    doc = frac[0].to_json()
-    assert set(doc["bound"]) == {"num", "den"}
+def test_stratified_ceiling_bounds_are_ints():
+    # mk | n for every m makes each bound whole: (1/k + m1/m2) n between
+    # periodic words, n/k against a constant word, 0 between constants
+    k, n = 3, 18
+    out = stratified_family(k, n, (1, 3, 6))
+    allowed = {Fraction(1, k) * n + Fraction(m1, m2) * n
+               for m1, m2 in itertools.combinations((1, 3, 6), 2)}
+    allowed |= {Fraction(n, k), 0}
+    for ceiling, doc in zip(out.ceilings, out.to_json()["ceilings"]):
+        assert type(ceiling.bound) is int and ceiling.bound in allowed
+        assert doc["bound"] == ceiling.bound
 
 
 def test_unknown_ceiling_mode_is_rejected_when_checked():
@@ -412,13 +417,12 @@ def test_pinned_word_digests(build, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-# sha256 of the whole JSON output, words, params and ceilings alike; the
-# stratified family has Fraction bounds
+# sha256 of the whole JSON output, words, params and ceilings alike
 @pytest.mark.parametrize("build, digest", [
     pytest.param(lambda: tuplet_family(5, 1), "961de84569f71b87cf23f393f6bc"
                  "15ac4566d620d2953ae28fad376013916a32", id="tuplet-5-1"),
-    pytest.param(lambda: stratified_family(3, 18, (1, 3, 6)), "35dff1c9e2c2"
-                 "7246a86d2618daf88465feb915707dae56619d1596fac9823fb7",
+    pytest.param(lambda: stratified_family(3, 18, (1, 3, 6)), "591a76a977d0"
+                 "76f530885d9997cda3757aa298ffb03b7432d605784d391826c5",
                  id="stratified-3-18"),
 ])
 def test_pinned_json_digests(build, digest):

@@ -218,6 +218,36 @@ def test_exact_sixty_letters_within_a_small_budget():
         assert twins_via_runs(w).length <= cert.length <= split_upper_bound(w)
 
 
+def test_search_pays_for_the_letters_that_occur_not_the_alphabet():
+    # a word with more letters in its alphabet than positions is searched
+    # renamed; tables sized by k = 10**6 peaked at about 480 MiB
+    base = sample_word(3, 60, 0).letters[:-1]
+    tracemalloc.start()
+    try:
+        cert = lt_exact(Word(base + (10**6,), 10**6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert cert.roles == lt_exact(Word(base + (4,), 4)).roles
+
+
+@given(st.lists(st.integers(1, 4), max_size=12), st.integers(0, 99))
+def test_renamed_letters_give_the_same_roles(letters, seed):
+    # roles are positions, so spreading the letters over a far larger
+    # alphabet changes neither the exact roles nor the random walk's draws
+    word = Word(tuple(letters), 4)
+    spread = Word(tuple(1000 * c for c in letters), 4000)
+    assert lt_exact(spread).roles == lt_exact(word).roles
+
+    def walk(w):
+        try:
+            return random_monotone_certificate(w, substream(seed, 0)).roles
+        except ValueError:  # no repeated letter
+            return None
+    assert walk(spread) == walk(word)
+
+
 def test_regression_example_word():
     w = parse_word("0110010010101101")
     cert = lt_exact(w)

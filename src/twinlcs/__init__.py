@@ -14,8 +14,8 @@ from .bounds import (AsymptoticThreshold, LowerBoundValues, MinMaxConstant,
                      role_count, role_prob, sharp_image_tables,
                      strong_monotonicity_violation, theta, union_bound)
 from .constructions import (Ceiling, FamilyOutput, FAMILY_BUILDERS,
-                            check_family, ceiling_value, cube_quadruple,
-                            grid_pair, multiperm_quadruple, quadratic_family,
+                            check_family, cube_quadruple, grid_pair,
+                            multiperm_quadruple, quadratic_family,
                             stratified_family, tuplet_family)
 from .errors import BudgetError, InvalidCertificateError
 from .experiments import (CheckResult, ExperimentConfig, MinimizeResult,

@@ -85,25 +85,19 @@ class ThresholdResult(Record):
     bracket: tuple[float, float]
 
 
-def _check_tol(tol: float) -> None:
-    # a NaN or infinite tol would end a search before its first step
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-
-
 _SCAN_STEP = 1e-3
+_TOL = 1e-9
 
 
-def alpha_threshold(k: int, *, tol: float = 1e-9) -> Optional[ThresholdResult]:
+def alpha_threshold(k: int) -> Optional[ThresholdResult]:
     """Scan down from alpha = 1/2 for the rightmost sign change of theta
     on [1/k, 1/2] and bisect it.
 
-    Returns the smallest alpha, to within ``tol``, such that theta stays
+    Returns the smallest alpha, to within 1e-9, such that theta stays
     negative on [alpha, 1/2]; None when theta(1/2) is already
     nonnegative and the method certifies nothing.  The scan step guards
     against non-monotone sign structure, which is not ruled out.
     """
-    _check_tol(tol)
     if theta(0.5, k).value >= 0:
         return None
     floor = 1.0 / k
@@ -114,11 +108,10 @@ def alpha_threshold(k: int, *, tol: float = 1e-9) -> Optional[ThresholdResult]:
         lo -= _SCAN_STEP
     if theta(lo, k).value < 0:
         return None
-    # theta(lo) >= 0 > theta(hi); bisect the crossing down to adjacent floats
-    while hi - lo > tol:
+    # theta(lo) >= 0 > theta(hi); a 1e-9 bracket on [0, 1/2] is over 10^6
+    # float spacings wide, so mid always lies strictly between lo and hi
+    while hi - lo > _TOL:
         mid = (lo + hi) / 2
-        if mid in (lo, hi):
-            break
         if theta(mid, k).value < 0:
             hi = mid
         else:
@@ -247,7 +240,7 @@ class LowerBoundValues(Record):
     per_letter: the easy density 1/k.
     improved: 1.02/k, available for k >= 3.
     minmax: the k = 3 refinement constant (4 - sqrt(11))/2 with its
-        numeric minimization record.
+        numeric minimization record, None for k != 3.
     linear_slope and linear_offset: twins of length at least
     slope * n - offset exist in every word, with slope 3^(-4/3) k^(-2/3)
     and offset 3^(-1/3) k^(1/3).
@@ -256,7 +249,7 @@ class LowerBoundValues(Record):
     k: int
     per_letter: Fraction
     improved: Optional[Fraction]
-    minmax: MinMaxConstant
+    minmax: Optional[MinMaxConstant]
     linear_slope: float
     linear_offset: float
 
@@ -265,10 +258,11 @@ def lower_bound_values(k: int) -> LowerBoundValues:
     if k < 2:
         raise ValueError(f"alphabet size must be >= 2, got {k}")
     improved = Fraction(102, 100 * k) if k >= 3 else None
+    minmax = minmax_constant() if k == 3 else None
     slope = 3.0 ** (-4.0 / 3.0) * k ** (-2.0 / 3.0)
     offset = 3.0 ** (-1.0 / 3.0) * k ** (1.0 / 3.0)
-    return LowerBoundValues(k, Fraction(1, k), improved, minmax_constant(),
-                            slope, offset)
+    return LowerBoundValues(k, Fraction(1, k), improved, minmax, slope,
+                            offset)
 
 
 # -- images of strongly monotone maps ----------------------------------------

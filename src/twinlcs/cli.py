@@ -140,7 +140,7 @@ def _cmd_construct(args: argparse.Namespace, config: ExperimentConfig) -> int:
     out = build(**kwargs)
     payload = out.to_json()
     lines = [f"family: {out.family}",
-             "params: " + " ".join(f"{k}={v}" for k, v in out.params),
+             "params: " + " ".join(f"{k}={v}" for k, v in out.params.items()),
              f"words: {len(out.words)}"]
     lines += [f"  {w.to_text()}" for w in out.words]
     lines.append(f"ceilings: {len(out.ceilings)}")
@@ -175,7 +175,7 @@ def _cmd_bound(args: argparse.Namespace, config: ExperimentConfig) -> int:
         _emit(args, breakdown.to_json(), lines)
         return 0
     if what == "threshold":
-        result = alpha_threshold(args.k, tol=args.tol)
+        result = alpha_threshold(args.k)
         if result is None:
             _emit(args, {"k": args.k, "alpha": None},
                   [f"k={args.k}: no negative-exponent density "
@@ -220,7 +220,8 @@ def _cmd_bound(args: argparse.Namespace, config: ExperimentConfig) -> int:
     lines = [f"per-letter: {values.per_letter}",
              "improved: " + (str(values.improved)
                              if values.improved is not None else "n/a"),
-             f"min-max constant: {mm.value:.9f} at x={mm.x:.9f}",
+             "min-max constant: " + (f"{mm.value:.9f} at x={mm.x:.9f}"
+                                     if mm is not None else "n/a"),
              f"linear: {values.linear_slope:.9f} n - "
              f"{values.linear_offset:.9f}",
              f"asymptotic leading: {asymptotic.leading:.9f}",
@@ -346,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 q.add_argument(f"--{param.name}", type=int, required=required,
                                default=None if required else param.default)
-    for q in fam.choices.values():
         q.add_argument("--check", action="store_true",
                        help="verify every ceiling numerically")
         q.add_argument("--set-restrict", type=int, default=None,
@@ -361,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--k", type=int, required=True)
     q = what.add_parser("threshold", parents=[common])
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--tol", type=float, default=1e-9)
     q = what.add_parser("union", parents=[common])
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--n", type=int, required=True)

@@ -98,30 +98,18 @@ class Ceiling(Record):
 
 
 @dataclass(frozen=True)
-class FamilyOutput:
+class FamilyOutput(Record):
     family: str
-    params: tuple[tuple[str, object], ...]
+    params: dict
     words: tuple[Word, ...]
     ceilings: tuple[Ceiling, ...]
 
-    def param(self, name: str):
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(name)
 
-    def to_json(self) -> dict:
-        """Not the field rule: the params are written as a dict."""
-        return {"family": self.family,
-                "params": {k: v for k, v in self.params},
-                "words": [w.to_json() for w in self.words],
-                "ceilings": [c.to_json() for c in self.ceilings]}
-
-
-def ceiling_value(out: FamilyOutput, ceiling: Ceiling, *,
-                  budget_cells: int = DEFAULT_BUDGET_CELLS,
-                  set_restrict: Optional[int] = None) -> int:
-    """Recompute the quantity a ceiling bounds.
+def check_family(out: FamilyOutput, *,
+                 budget_cells: int = DEFAULT_BUDGET_CELLS,
+                 set_restrict: Optional[int] = None
+                 ) -> list[tuple[Ceiling, int, bool]]:
+    """(ceiling, computed value, value <= bound) for every ceiling.
 
     ``set_restrict`` caps joint-LCS checks by first deleting all letters
     above the cap from every word; deletion never increases the joint
@@ -131,27 +119,21 @@ def ceiling_value(out: FamilyOutput, ceiling: Ceiling, *,
     """
     if set_restrict is not None and set_restrict < 1:
         raise ValueError(f"set_restrict must be >= 1, got {set_restrict}")
-    words = [out.words[i] for i in ceiling.indices]
-    if ceiling.mode == "lcs":
-        return lcs_len(words[0], words[1])
-    if ceiling.mode == "rev":
-        return lcs_len(words[0], words[1].reversed())
-    if ceiling.mode != "set":
-        raise ValueError(f"unknown ceiling mode {ceiling.mode!r}")
-    if set_restrict is not None:
-        words = [w.restrict(range(1, set_restrict + 1)) for w in words]
-    return lcs_multi(words, witness=False, budget_cells=budget_cells).length
-
-
-def check_family(out: FamilyOutput, *,
-                 budget_cells: int = DEFAULT_BUDGET_CELLS,
-                 set_restrict: Optional[int] = None
-                 ) -> list[tuple[Ceiling, int, bool]]:
-    """(ceiling, computed value, value <= bound) for every ceiling."""
     report = []
     for ceiling in out.ceilings:
-        value = ceiling_value(out, ceiling, budget_cells=budget_cells,
-                              set_restrict=set_restrict)
+        words = [out.words[i] for i in ceiling.indices]
+        if ceiling.mode == "lcs":
+            value = lcs_len(words[0], words[1])
+        elif ceiling.mode == "rev":
+            value = lcs_len(words[0], words[1].reversed())
+        elif ceiling.mode == "set":
+            if set_restrict is not None:
+                words = [w.restrict(range(1, set_restrict + 1))
+                         for w in words]
+            value = lcs_multi(words, witness=False,
+                              budget_cells=budget_cells).length
+        else:
+            raise ValueError(f"unknown ceiling mode {ceiling.mode!r}")
         report.append((ceiling, value, value <= ceiling.bound))
     return report
 
@@ -181,7 +163,7 @@ def quadratic_family(p: int, k: Optional[int] = None) -> FamilyOutput:
         for i in range(p))
     ceilings = tuple(Ceiling((i, j), "lcs", 4 * p - 2)
                      for i, j in itertools.combinations(range(p), 2))
-    return FamilyOutput("quadratic", (("p", p), ("k", k)), words, ceilings)
+    return FamilyOutput("quadratic", {"p": p, "k": k}, words, ceilings)
 
 
 _CUBE_SIGNS = ((1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1))
@@ -204,7 +186,7 @@ def cube_quadruple(n: int) -> FamilyOutput:
                   for signs in _CUBE_SIGNS)
     ceilings = tuple(Ceiling((i, j), "lcs", n)
                      for i, j in itertools.combinations(range(4), 2))
-    return FamilyOutput("cube", (("n", n),), words, ceilings)
+    return FamilyOutput("cube", {"n": n}, words, ceilings)
 
 
 def grid_pair(k: Optional[int] = None, s: int = 1, *,
@@ -240,8 +222,8 @@ def grid_pair(k: Optional[int] = None, s: int = 1, *,
              _sorted_word(letters, (x, r, -y), k))
     ceilings = (Ceiling((0, 1), "lcs", k1 * s),
                 Ceiling((0, 1), "rev", k2 + s - 1))
-    return FamilyOutput("grid", (("k", k), ("s", s), ("k1", k1), ("k2", k2),
-                                 ("auto", auto)), words, ceilings)
+    return FamilyOutput("grid", {"k": k, "s": s, "k1": k1, "k2": k2,
+                                 "auto": auto}, words, ceilings)
 
 
 def multiperm_quadruple(s: int, k1: Optional[int] = None,
@@ -287,8 +269,8 @@ def multiperm_quadruple(s: int, k1: Optional[int] = None,
                 Ceiling((1, 3), "lcs",
                         k2 * s if k3 == 1 else k2 * (2 * s - 1)))
     return FamilyOutput("multiperm",
-                        (("s", s), ("k", k), ("k1", k1), ("k2", k2),
-                         ("k3", k3), ("auto", auto)), words, ceilings)
+                        {"s": s, "k": k, "k1": k1, "k2": k2, "k3": k3,
+                         "auto": auto}, words, ceilings)
 
 
 def tuplet_family(t: int, kappa: int) -> FamilyOutput:
@@ -328,8 +310,7 @@ def tuplet_family(t: int, kappa: int) -> FamilyOutput:
                   for row in signs)
     ceilings = tuple(Ceiling(subset, "set", kappa)
                      for subset in itertools.combinations(range(2 * t), t))
-    return FamilyOutput("tuplet", (("t", t), ("kappa", kappa)),
-                        words, ceilings)
+    return FamilyOutput("tuplet", {"t": t, "kappa": kappa}, words, ceilings)
 
 
 def stratified_family(k: int, n: int, ms: Sequence[int]) -> FamilyOutput:
@@ -376,7 +357,7 @@ def stratified_family(k: int, n: int, ms: Sequence[int]) -> FamilyOutput:
                  for _, i in strat for c in consts]
     ceilings += [Ceiling((c, rstair), "lcs", per_letter) for c in consts]
     ceilings.append(Ceiling((stair, rstair), "lcs", per_letter))
-    return FamilyOutput("stratified", (("k", k), ("n", n), ("ms", ms)),
+    return FamilyOutput("stratified", {"k": k, "n": n, "ms": ms},
                         tuple(words), tuple(ceilings))
 
 

@@ -383,7 +383,8 @@ def set_lcs_stats(words: Sequence[Word], t: int, *,
     """Pairwise LCS matrix and max joint LCS over subsets of size t.
 
     For t >= 3 the budget covers all subsets together, each charged what
-    the route ``lcs_multi`` picks for it costs.
+    the route ``lcs_multi`` picks for it costs, and the whole charge is
+    checked before any subset is computed.
     """
     words = list(words)
     _require_common_alphabet(words)
@@ -395,20 +396,18 @@ def set_lcs_stats(words: Sequence[Word], t: int, *,
         table[i][i] = len(words[i])
     for i, j in combinations(range(n), 2):
         table[i][j] = table[j][i] = lcs_len(words[i], words[j])
-    spent = 0
-    value, subset = -1, ()
-    for combo in combinations(range(n), t):
-        if t <= 2:  # the table holds single lengths and pair values
-            got = table[combo[0]][combo[-1]]
-        else:
-            group = [words[i] for i in combo]
-            # each subset costs what the route lcs_multi picks for it
-            cost, chain = _length_cost(group)
-            spent += cost
-            check_budget(spent, budget_cells, f"joint LCS over {t}-subsets",
-                         hint=_RAISE_BUDGET, unit="cells and chain steps")
-            got = _joint_length(group, chain)
-        if got > value:
-            value, subset = got, combo
+    combos = list(combinations(range(n), t))
+    if t <= 2:  # the table holds single lengths and pair values
+        values = [table[c[0]][c[-1]] for c in combos]
+    else:
+        groups = [[words[i] for i in c] for c in combos]
+        costs = [_length_cost(group) for group in groups]
+        check_budget(sum(cost for cost, _ in costs), budget_cells,
+                     f"joint LCS over {t}-subsets", hint=_RAISE_BUDGET,
+                     unit="cells and chain steps")
+        values = [_joint_length(group, chain)
+                  for group, (_, chain) in zip(groups, costs)]
+    value = max(values)
+    subset = combos[values.index(value)]
     frozen = tuple(tuple(r) for r in table)
     return SetLcsStats(t, frozen, value, subset)

@@ -157,7 +157,7 @@ def test_criterion_05():
         first, second = out.words
         n = len(first)
         value = lcs_reversible(first, second).length
-        assert (out.param("k1"), out.param("k2"), value) == frozen
+        assert (out.params["k1"], out.params["k2"], value) == frozen
         assert value >= math.sqrt(n) - 1e-9, (s, k, value, n)
         assert value <= math.sqrt(n) + s + 1e-9, (s, k, value, n)
 

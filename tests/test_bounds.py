@@ -108,20 +108,6 @@ def test_threshold_is_rightmost_sign_change():
             assert theta(a, k).value < 0
 
 
-def test_zero_tolerance_searches_terminate():
-    # at tol = 0 both searches stop once the bracket cannot shrink further
-    for k in (4, 5, 4000):
-        res = alpha_threshold(k, tol=0)
-        assert res.alpha == pytest.approx(alpha_threshold(k).alpha, abs=1e-9)
-        assert alpha_threshold(k, tol=1e-17).alpha == res.alpha
-
-
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-9])
-def test_bad_tolerance_is_rejected(tol):
-    with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
-        alpha_threshold(4, tol=tol)
-
-
 # -- asymptotic forms ------------------------------------------------------------
 
 
@@ -268,6 +254,11 @@ def test_lower_bound_json_keeps_exact_rationals(k):
         assert doc["improved"] is vals.improved is None
     else:
         assert Fraction(doc["improved"]) == vals.improved
+    # the min-max constant refines the bound at k = 3 only
+    if k == 3:
+        assert doc["minmax"] == minmax_constant().to_json()
+    else:
+        assert doc["minmax"] is vals.minmax is None
     json.dumps(doc)
 
 

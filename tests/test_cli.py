@@ -420,19 +420,6 @@ def test_bound_threshold(capsys):
     assert "certifies nothing" in out
 
 
-def test_bound_threshold_zero_tolerance_terminates(capsys):
-    code, out, err = run(capsys, "bound", "threshold", "--k", "4", "--tol", "0")
-    assert (code, err) == (0, "")
-    assert "alpha: 0.493156880" in out
-
-
-@pytest.mark.parametrize("tol", ["nan", "inf"])
-def test_bound_threshold_non_finite_tolerance_exits_2(capsys, tol):
-    code, out, err = run(capsys, "bound", "threshold", "--k", "4", "--tol", tol)
-    assert (code, out) == (2, "")
-    assert err == f"error: tol must be finite and nonnegative, got {tol}\n"
-
-
 def test_bound_theta(capsys):
     code, out, _ = run(capsys, "bound", "theta", "--alpha", "0.5", "--k", "2")
     assert code == 0
@@ -478,6 +465,15 @@ def test_bound_constants(capsys):
     assert "per-letter: 1/3" in out
     assert "improved: 17/50" in out
     assert "min-max constant: 0.341687605" in out
+
+
+@pytest.mark.parametrize("k", ["2", "7"])
+def test_bound_constants_minmax_only_at_k3(capsys, k):
+    code, out, _ = run(capsys, "bound", "constants", "--k", k)
+    assert code == 0
+    assert "min-max constant: n/a\n" in out
+    code, out, _ = run(capsys, "--json", "bound", "constants", "--k", k)
+    assert json.loads(out)["lower_bounds"]["minmax"] is None
 
 
 # -- experiments ---------------------------------------------------------------------

@@ -18,7 +18,6 @@ from twinlcs import (
     FAMILY_BUILDERS,
     FamilyOutput,
     Word,
-    ceiling_value,
     check_family,
     cube_quadruple,
     grid_pair,
@@ -131,9 +130,9 @@ GRID_AUTO = {
 def test_grid_auto_frozen_table():
     for (s, k), (k1, k2, lcsr) in GRID_AUTO.items():
         out = grid_pair(k=k, s=s)
-        assert out.param("k1") == k1
-        assert out.param("k2") == k2
-        assert out.param("auto")
+        assert out.params["k1"] == k1
+        assert out.params["k2"] == k2
+        assert out.params["auto"]
         assert all(len(w) == k * s for w in out.words)
         assert all(sorted(w) == sorted(list(range(1, w.k + 1)) * s)
                    for w in out.words)
@@ -143,8 +142,8 @@ def test_grid_auto_frozen_table():
 
 def test_grid_explicit():
     out = grid_pair(s=2, k1=2, k2=3)
-    assert out.param("k") == 6
-    assert not out.param("auto")
+    assert out.params["k"] == 6
+    assert not out.params["auto"]
     report = assert_all_hold(out)
     modes = {c.mode: (value, c.bound) for c, value, _ in report}
     assert modes["lcs"][1] == 2 * 2       # k1 * s
@@ -189,7 +188,7 @@ def test_multiperm_degenerate_pair_bound():
 def test_multiperm_auto():
     out = multiperm_quadruple(3, k=36)
     assert all(len(w) == 36 * 3 for w in out.words)
-    assert out.param("auto")
+    assert out.params["auto"]
     assert_all_hold(out)
 
 
@@ -357,8 +356,6 @@ def test_unknown_ceiling_mode_is_rejected_when_checked():
     out = grid_pair(s=1, k1=2, k2=2)
     bad = Ceiling((0, 1), "max", 2)
     with pytest.raises(ValueError, match="unknown ceiling mode 'max'"):
-        ceiling_value(out, bad)
-    with pytest.raises(ValueError, match="unknown ceiling mode 'max'"):
         check_family(FamilyOutput(out.family, out.params, out.words,
                                   out.ceilings + (bad,)))
 
@@ -375,14 +372,14 @@ def test_set_restrict_below_one_rejected():
     out = tuplet_family(3, 2)
     for cap in (0, -3):
         with pytest.raises(ValueError, match=f"got {cap}$"):
-            ceiling_value(out, out.ceilings[0], set_restrict=cap)
+            check_family(out, set_restrict=cap)
 
 
 def test_param_lookup():
     out = cube_quadruple(2)
-    assert out.param("n") == 2
+    assert out.params["n"] == 2
     with pytest.raises(KeyError):
-        out.param("missing")
+        out.params["missing"]
 
 
 # -- key-array builds ------------------------------------------------------------

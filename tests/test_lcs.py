@@ -21,6 +21,7 @@ from twinlcs import (
     lcs_reversible,
     parse_word,
     quadratic_family,
+    sample_word,
     set_lcs_stats,
     substream,
 )
@@ -377,6 +378,18 @@ def test_set_stats_costs_each_subset_once(monkeypatch):
     assert stats.pairwise == tuple(
         tuple(125 if i == j else 5 for j in range(4)) for i in range(4))
     assert (stats.value, stats.best_subset) == (1, (0, 1, 2))
+
+
+def test_set_stats_refuses_before_any_joint_length(monkeypatch):
+    calls = []
+    monkeypatch.setattr(lcs, "_joint_length",
+                        lambda words, chain: calls.append(1))
+    words = [sample_word(2, 200, 0, index=i) for i in range(4)]
+    # four dense 201^3-cell subsets: the second already passes the budget
+    with pytest.raises(BudgetError, match=f"needs {4 * 201 ** 3} cells .*; "
+                                          "raise budget_cells$"):
+        set_lcs_stats(words, 3, budget_cells=2 * 10**7)
+    assert calls == []
 
 
 def test_multi_witness():

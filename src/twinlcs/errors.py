@@ -4,7 +4,7 @@ JSON rule of result records.
 Every super-linear call charges its work to ``check_budget`` before
 doing it.  A result record's JSON is its dataclass fields in order, then
 the properties its ``_json_extra`` names: tuples and lists as lists, a
-Fraction as text, and a value with a ``to_json`` as its own JSON.  Each
+dict as a copy, a Fraction as text, and a value with a ``to_json`` as its own JSON.  Each
 record that is written otherwise says why in its own ``to_json``.  This
 module imports nothing from the package, so every other module may."""
 
@@ -53,6 +53,8 @@ def _json_value(value):
         return value
     if isinstance(value, (tuple, list)):
         return [_json_value(v) for v in value]
+    if isinstance(value, dict):  # a copy, so the payload is not the record's
+        return {k: _json_value(v) for k, v in value.items()}
     if isinstance(value, Fraction):
         return str(value)
     return value.to_json() if hasattr(value, "to_json") else value

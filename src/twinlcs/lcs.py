@@ -383,8 +383,8 @@ def set_lcs_stats(words: Sequence[Word], t: int, *,
     """Pairwise LCS matrix and max joint LCS over subsets of size t.
 
     For t >= 3 the budget covers all subsets together, each charged what
-    the route ``lcs_multi`` picks for it costs, and the whole charge is
-    checked before any subset is computed.
+    the route ``lcs_multi`` picks for it costs; the charge is summed, and
+    refused at the first overshoot, before any subset is computed.
     """
     words = list(words)
     _require_common_alphabet(words)
@@ -396,18 +396,23 @@ def set_lcs_stats(words: Sequence[Word], t: int, *,
         table[i][i] = len(words[i])
     for i, j in combinations(range(n), 2):
         table[i][j] = table[j][i] = lcs_len(words[i], words[j])
-    combos = list(combinations(range(n), t))
     if t <= 2:  # the table holds single lengths and pair values
-        values = [table[c[0]][c[-1]] for c in combos]
+        values = (table[c[0]][c[-1]] for c in combinations(range(n), t))
     else:
-        groups = [[words[i] for i in c] for c in combos]
-        costs = [_length_cost(group) for group in groups]
-        check_budget(sum(cost for cost, _ in costs), budget_cells,
-                     f"joint LCS over {t}-subsets", hint=_RAISE_BUDGET,
-                     unit="cells and chain steps")
-        values = [_joint_length(group, chain)
-                  for group, (_, chain) in zip(groups, costs)]
-    value = max(values)
-    subset = combos[values.index(value)]
+        # charge every subset before computing any, refusing at the first
+        # overshoot; only each subset's route is kept for the second pass
+        spent, chains = 0, bytearray()
+        for combo in combinations(range(n), t):
+            cost, chain = _length_cost([words[i] for i in combo])
+            spent += cost
+            check_budget(spent, budget_cells, f"joint LCS over {t}-subsets",
+                         hint=_RAISE_BUDGET, unit="cells and chain steps")
+            chains.append(chain)
+        values = (_joint_length([words[i] for i in c], chain)
+                  for c, chain in zip(combinations(range(n), t), chains))
+    value, subset = -1, ()
+    for combo, got in zip(combinations(range(n), t), values):
+        if got > value:
+            value, subset = got, combo
     frozen = tuple(tuple(r) for r in table)
     return SetLcsStats(t, frozen, value, subset)

@@ -376,10 +376,12 @@ def test_set_restrict_below_one_rejected():
 
 
 def test_param_lookup():
-    out = cube_quadruple(2)
-    assert out.params["n"] == 2
-    with pytest.raises(KeyError):
-        out.params["missing"]
+    out = grid_pair(4, 1)
+    assert list(out.params) == ["k", "s", "k1", "k2", "auto"]
+    payload = out.to_json()["params"]
+    assert payload == out.params and payload is not out.params
+    payload["s"] = 7  # editing the JSON payload leaves the record alone
+    assert out.params["s"] == 1
 
 
 # -- key-array builds ------------------------------------------------------------

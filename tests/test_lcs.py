@@ -385,11 +385,23 @@ def test_set_stats_refuses_before_any_joint_length(monkeypatch):
     monkeypatch.setattr(lcs, "_joint_length",
                         lambda words, chain: calls.append(1))
     words = [sample_word(2, 200, 0, index=i) for i in range(4)]
-    # four dense 201^3-cell subsets: the second already passes the budget
-    with pytest.raises(BudgetError, match=f"needs {4 * 201 ** 3} cells .*; "
+    # four dense 201^3-cell subsets: the third passes the budget
+    with pytest.raises(BudgetError, match=f"needs {3 * 201 ** 3} cells .*; "
                                           "raise budget_cells$"):
         set_lcs_stats(words, 3, budget_cells=2 * 10**7)
     assert calls == []
+
+
+def test_set_stats_refuses_at_the_first_overshooting_subset(monkeypatch):
+    calls = []
+    counted = lcs._length_cost
+    monkeypatch.setattr(lcs, "_length_cost",
+                        lambda words: calls.append(1) or counted(words))
+    words = [sample_word(2, 10, 0, index=i) for i in range(30)]
+    # C(30, 15) ~ 1.6e8 subsets; the first alone needs 11^15 cells
+    with pytest.raises(BudgetError, match=f"needs {11 ** 15} cells"):
+        set_lcs_stats(words, 15)
+    assert len(calls) == 1
 
 
 def test_multi_witness():

@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -129,17 +129,37 @@ class TailEstimate(Record):
     config: ExperimentConfig
 
 
+def _growth_strings(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Restricted growth strings of length n over [k] in lexicographic
+    order: each entry is at most one more than the largest before it (the
+    first is 1).  Each is the word of its renaming class whose letters are
+    1, 2, ... in order of first occurrence."""
+    def grow(prefix: tuple[int, ...], top: int) -> Iterator[tuple[int, ...]]:
+        if len(prefix) == n:
+            yield prefix
+            return
+        for c in range(1, min(top + 1, k) + 1):
+            yield from grow(prefix + (c,), max(top, c))
+    return grow((), 0)
+
+
 def estimate_lt_tail(k: int, n: int, alpha: float,
                      config: Optional[ExperimentConfig] = None
                      ) -> TailEstimate:
     """Probability that a uniform word has twins of length >= alpha * n.
 
-    Exhaustive (exact fraction, collapsed interval) over all k^n words
-    when k^n is at most EXHAUSTIVE_CAP (4096); Monte Carlo with a
-    Wilson 95% interval over seeded trial substreams otherwise.  Both
-    make one twin search call per word for exactly m pairs (twins of
-    length m exist exactly when LT >= m), the node budget bounds each
-    call, and both reject n > DEFAULT_EXACT_LENGTH unless m is 0.
+    Both routes make one twin search call per word for exactly m pairs
+    (twins of length m exist exactly when LT >= m) and reject
+    n > DEFAULT_EXACT_LENGTH unless m is 0.  Monte Carlo, with a Wilson
+    95% interval over seeded trial substreams, searches each sampled word
+    afresh, and the node budget bounds each call.  When k^n is at most
+    EXHAUSTIVE_CAP (4096) the fraction is exact (a collapsed interval):
+    LT does not change when letters are renamed, so the route walks the
+    restricted growth strings over [min(k, n)], each read right to left
+    and standing for the perm(k, j) words with its j letters.
+    Consecutive strings share their longest suffix, and one search is
+    reloaded word after word, so a shared suffix is searched once and the
+    node budget bounds each word's new states.
     """
     config = config or ExperimentConfig()
     if k < 1:
@@ -155,15 +175,17 @@ def estimate_lt_tail(k: int, n: int, alpha: float,
                          f"{DEFAULT_EXACT_LENGTH}, got {n}")
     exhaustive = k ** n <= EXHAUSTIVE_CAP
     if exhaustive:
-        trials = k ** n
-        words = (Word(letters, k) for letters
-                 in itertools.product(range(1, k + 1), repeat=n))
+        trials, hits = k ** n, 0
+        search = _TwinSearch(Word((1,) * n, min(k, n)), config.budget_nodes)
+        for rgs in _growth_strings(n, min(k, n)):
+            search.load(rgs[::-1])
+            if search.find(m) is not None:
+                hits += math.perm(k, max(rgs))
     else:
         trials = config.trials
-        words = (sample_word(k, n, config.seed, index=trial)
-                 for trial in range(trials))
-    hits = sum(_TwinSearch(word, config.budget_nodes).find(m)
-               is not None for word in words)
+        hits = sum(_TwinSearch(sample_word(k, n, config.seed, index=trial),
+                               config.budget_nodes).find(m) is not None
+                   for trial in range(trials))
     p = hits / trials
     lo, hi = (p, p) if exhaustive else wilson_interval(hits, trials)
     return TailEstimate(k, n, alpha, m, p, lo, hi, trials, hits,

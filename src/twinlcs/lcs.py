@@ -383,7 +383,8 @@ def set_lcs_stats(words: Sequence[Word], t: int, *,
     """Pairwise LCS matrix and max joint LCS over subsets of size t.
 
     For t >= 3 the budget covers all subsets together, each charged what
-    the route ``lcs_multi`` picks for it costs; the charge is summed, and
+    the route ``lcs_multi`` picks for it costs, and at least one unit, so
+    the budget also bounds the subsets visited; the charge is summed, and
     refused at the first overshoot, before any subset is computed.
     """
     words = list(words)
@@ -404,7 +405,7 @@ def set_lcs_stats(words: Sequence[Word], t: int, *,
         spent, chains = 0, bytearray()
         for combo in combinations(range(n), t):
             cost, chain = _length_cost([words[i] for i in combo])
-            spent += cost
+            spent += max(cost, 1)  # a chain over no match points is free
             check_budget(spent, budget_cells, f"joint LCS over {t}-subsets",
                          hint=_RAISE_BUDGET, unit="cells and chain steps")
             chains.append(chain)

@@ -7,14 +7,18 @@ positions.  The length of the twins is the number of pairs.
 
 One target-directed search over (position, owed letters) states finds
 the lexicographically smallest monotone role word with a given number
-of pairs.  ``minimal_certificate`` asks it once; ``lt_exact`` asks for
-0, 1, 2, ... pairs and returns the last role word found.  ``lt_oracle``
-recomputes the value by brute enumeration of role words and exists
-purely as an independent cross-check; it shares no logic with the
-search.  It enumerates a monotone role word with m pairs as a choice of
-its 2m marked positions times a ballot word of m 1s and m 2s on them,
-as arrays, and ``_oracle_lengths`` checks a whole batch of words of one
-length in one pass.
+of pairs.  ``minimal_certificate`` asks it once.  ``lt_exact`` first asks
+for the letter-count ceiling, the sum over letters of count // 2, which
+most short binary words reach; when that fails it asks for 0, 1, 2, ...
+pairs and returns the last role word found.  ``load`` points a search at
+another word of the same length, keeping what it knows about the suffix
+the two words share.  ``lt_oracle`` recomputes the value by brute
+enumeration of role words and exists purely as an independent
+cross-check; it shares no logic with the search.  It enumerates a
+monotone role word with m pairs as a choice of its 2m marked positions
+times a ballot word of m 1s and m 2s on them, as arrays, and
+``_oracle_lengths`` checks a whole batch of words of one length in one
+pass.
 
 A role word is *monotone* when every prefix contains at least as many
 1s as 2s (equivalently: the i-th marked position of the first
@@ -300,26 +304,44 @@ class _TwinSearch:
             letters = tuple(names.setdefault(c, len(names) + 1)
                             for c in letters)
             k = len(names)
-        self.letters = letters
         self.n = n = len(letters)
         self.budget_nodes = budget_nodes
-        self.nodes = 0
-        # failed[pos][debt]: smallest need known to fail at the state
-        self.failed: list[dict[Roles, int]] = [{} for _ in range(n + 1)]
+        # failed[pos][debt]: smallest need known to fail at the state (load
+        # gives rows 0..n-1 dicts of their own)
+        self.failed: list[dict[Roles, int]] = [{}] * (n + 1)
         # next_at[p][c]: first index >= p holding c, else n (rows n and
         # n + 1 are all n, so an unmatched debt stays at n + 1);
-        # left[p]: occurrences of letters[p] in letters[p:]
-        nxt, seen = [n] * (k + 1), [0] * (k + 1)
-        self.next_at = [tuple(nxt)] * 2
-        self.left = [0] * n
-        for p in range(n - 1, -1, -1):
+        # left[p]: occurrences of letters[p] in letters[p:] (left[n] = 0)
+        self.next_at = [(n,) * (k + 1)] * (n + 2)
+        self.left = [0] * (n + 1)
+        self.letters = (0,) * n  # no letter is 0, so load builds every row
+        self.load(letters)
+
+    def load(self, letters: tuple[int, ...]) -> None:
+        """Search ``letters`` from now on: a word of the same length over
+        the same alphabet, taken as given (no renaming).
+
+        Every table row and failure at a position depends only on the
+        suffix from there, so only the rows up to the last position whose
+        letter changed are rebuilt and only their failures are dropped.
+        The node count starts again from 0.
+        """
+        top = self.n - 1
+        while top >= 0 and letters[top] == self.letters[top]:
+            top -= 1
+        next_at, left, failed = self.next_at, self.left, self.failed
+        nxt = list(next_at[top + 1])
+        for p in range(top, -1, -1):
             c = letters[p]
+            left[p] = left[nxt[c]] + 1
             nxt[c] = p
-            seen[c] += 1
-            self.left[p] = seen[c]
-            self.next_at.append(tuple(nxt))
-        self.next_at.reverse()
-        self.root_slack = sum(count // 2 for count in seen)
+            next_at[p] = tuple(nxt)
+            failed[p] = {}
+        self.letters = letters
+        self.nodes = 0
+        # next_at[0] holds each letter's first position, where left counts
+        # all its copies (letter 0 and absent letters point at n)
+        self.root_slack = sum(left[p] // 2 for p in next_at[0])
 
     def greedy_end(self, pos: int, debt: Roles) -> int:
         """Index just past the greedy match of ``debt`` in letters[pos:],
@@ -380,7 +402,10 @@ def lt_exact(word: Word, *, max_length: int = DEFAULT_EXACT_LENGTH,
     """Maximum-length twins with the lexicographically smallest monotone
     role word among the optima.
 
-    Asks the search for 0, 1, 2, ... pairs and keeps the last success;
+    Asks the search first for the ceiling, the sum over letters of
+    count // 2 (each pair takes two copies of one letter, and the sum is
+    at most n // 2), so a success settles the value in one query.
+    Otherwise it asks for 0, 1, 2, ... pairs and keeps the last success;
     failures found for one target stay valid for the next.  Raises
     BudgetError past ``budget_nodes`` states; the failure memo keeps
     about 100-130 bytes per state, so the default can hold about 0.6 GB
@@ -390,9 +415,11 @@ def lt_exact(word: Word, *, max_length: int = DEFAULT_EXACT_LENGTH,
         raise ValueError(
             f"exact search supports length <= {max_length}, got {len(word)}")
     search = _TwinSearch(word, budget_nodes)
-    need, best = 0, None
-    while (roles := search.find(need)) is not None:
-        need, best = need + 1, roles
+    best = search.find(search.root_slack)
+    if best is None:
+        need = 0
+        while (roles := search.find(need)) is not None:
+            need, best = need + 1, roles
     return extract(word, best)
 
 

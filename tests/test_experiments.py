@@ -18,6 +18,7 @@ from twinlcs import (
     ExperimentConfig,
     PermutationDistribution,
     SUITES,
+    Word,
     estimate_lt_tail,
     expected_lcs,
     lt_exact,
@@ -30,8 +31,9 @@ from twinlcs import (
     verify_suite,
     wilson_interval,
 )
-from twinlcs.experiments import _local_minimum
-from twinlcs.twins import _oracle_lengths
+from twinlcs.experiments import (EXHAUSTIVE_CAP, _growth_strings,
+                                 _local_minimum)
+from twinlcs.twins import _oracle_lengths, _TwinSearch
 
 
 # -- rng discipline -------------------------------------------------------------
@@ -183,6 +185,41 @@ def test_tail_exhaustive_route_matches_brute_force_twins(k, n):
         assert (est.method, est.pairs) == ("exhaustive", m)
         assert (est.successes, est.trials) == (hits, k ** n)
         assert est.exact == Fraction(hits, k ** n)
+
+
+def test_growth_strings_name_letters_in_order_of_first_occurrence():
+    for k in range(1, 5):
+        for n in range(8):
+            want = [s for s in itertools.product(range(1, k + 1), repeat=n)
+                    if all(c <= max(s[:i], default=0) + 1
+                           for i, c in enumerate(s))]
+            got = list(_growth_strings(n, k))
+            assert got == want, (n, k)
+            # each string stands for the words that rename its letters
+            assert sum(math.perm(k, max(s, default=0))
+                       for s in got) == k ** n
+
+
+_EXHAUSTIVE_CASES = [(k, n) for k in range(1, 7) for n in range(1, 13)
+                     if k ** n <= EXHAUSTIVE_CAP]
+
+
+@pytest.mark.parametrize("k, n", _EXHAUSTIVE_CASES)
+def test_tail_exhaustive_walk_matches_a_search_per_word(k, n):
+    # the walk over renaming classes against one fresh search per word,
+    # k > n and k = 1 included
+    words = [Word(letters, k)
+             for letters in itertools.product(range(1, k + 1), repeat=n)]
+    for alpha in (0.2, 0.3, 0.34, 0.4, 0.45, 0.5):
+        est = estimate_lt_tail(k, n, alpha)
+        m = threshold_pairs(alpha, n)
+        if m == 0:
+            assert (est.method, est.exact) == ("exact", 1)
+            continue
+        hits = sum(_TwinSearch(w).find(m) is not None for w in words)
+        assert (est.method, est.pairs, est.trials) == ("exhaustive", m,
+                                                       k ** n)
+        assert (est.successes, est.exact) == (hits, Fraction(hits, k ** n))
 
 
 def test_tail_exhaustive_route_honours_the_node_budget():

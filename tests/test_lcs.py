@@ -404,6 +404,20 @@ def test_set_stats_refuses_at_the_first_overshooting_subset(monkeypatch):
     assert len(calls) == 1
 
 
+def test_set_stats_budget_bounds_the_subsets_visited(monkeypatch):
+    calls = []
+    counted = lcs._length_cost
+    monkeypatch.setattr(lcs, "_length_cost",
+                        lambda words: calls.append(1) or counted(words))
+    # each letter fills two of the words, so a 10-subset shares no letter
+    # and its chain has no match point; the C(20, 10) = 184756 subsets
+    # once cost nothing and were all walked
+    words = [Word((i // 2 + 1,) * 10, 10) for i in range(20)]
+    with pytest.raises(BudgetError, match="needs 101 cells"):
+        set_lcs_stats(words, 10, budget_cells=100)
+    assert len(calls) == 101
+
+
 def test_multi_witness():
     ws = [parse_word("1213"), parse_word("2123"), parse_word("1231")]
     res = lcs_multi(ws)

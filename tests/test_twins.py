@@ -149,13 +149,18 @@ def test_exact_oracle_agree_k4():
 
 
 def test_exact_returns_valid_lexmin_monotone_certificate():
-    for letters in itertools.chain.from_iterable(
-            itertools.product((1, 2), repeat=n) for n in range(11)):
-        w = Word(letters, 2)
-        cert = lt_exact(w)
-        assert is_twin_roles(w, cert.roles)
-        assert cert.is_monotone
-        assert cert.roles == lexmin_monotone_roles(w.letters, cert.length)
+    # the ceiling query settles most of these words at once; the value
+    # comes from the enumeration oracle and the roles from the unpruned
+    # reference, so neither shares the search's shortcut
+    for k, longest in ((2, 10), (3, 6)):
+        for letters in itertools.chain.from_iterable(
+                itertools.product(range(1, k + 1), repeat=n)
+                for n in range(longest + 1)):
+            w = Word(letters, k)
+            cert = lt_exact(w)
+            assert is_twin_roles(w, cert.roles)
+            assert cert.is_monotone
+            assert cert.roles == lexmin_monotone_roles(letters, lt_oracle(w))
 
 
 @given(ternary_words)
@@ -216,6 +221,27 @@ def test_exact_sixty_letters_within_a_small_budget():
         assert cert.length == 26
         assert is_twin_roles(w, cert.roles) and cert.is_monotone
         assert twins_via_runs(w).length <= cert.length <= split_upper_bound(w)
+
+
+def test_ceiling_query_settles_most_binary_words(monkeypatch):
+    # most binary words reach the letter-count ceiling, which lt_exact asks
+    # first; climbing 0, 1, 2, ... pairs took 116058 and 45496 states
+    searches = []
+
+    class Counted(_TwinSearch):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            searches.append(self)
+
+    monkeypatch.setattr(twins, "_TwinSearch", Counted)
+    for letters in itertools.chain.from_iterable(
+            itertools.product((1, 2), repeat=n) for n in range(1, 11)):
+        lt_exact(Word(letters, 2))
+    assert sum(s.nodes for s in searches) <= 55_000
+    searches.clear()
+    for i in range(30):
+        lt_exact(sample_word(2, 40, 0, index=i))
+    assert sum(s.nodes for s in searches) <= 16_000
 
 
 def test_search_pays_for_the_letters_that_occur_not_the_alphabet():
@@ -306,6 +332,27 @@ def test_search_matches_reference_exhaustive(k, longest):
 def test_search_matches_reference_random(case):
     k, letters, budget = case
     assert_matches_reference(letters, k, budget)
+
+
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.integers(1, k), min_size=k, max_size=12),
+    st.lists(st.integers(1, k), max_size=12))))
+def test_reloaded_search_answers_as_a_fresh_one(case):
+    # the second word keeps a suffix of the first, whose failures the
+    # reloaded search keeps: same roles for every need, never more states
+    k, first, head = case
+    second = tuple(head[:len(first)]) + tuple(first[len(head):])
+    top = len(first) // 2 + 1
+    loaded = _TwinSearch(Word(tuple(first), k))
+    for need in range(top + 1):
+        loaded.find(need)
+    loaded.load(second)
+    fresh = _TwinSearch(Word(second, k))
+    for need in range(top + 1):
+        assert loaded.find(need) == fresh.find(need), (first, second, need)
+        assert loaded.nodes <= fresh.nodes
+    assert (loaded.root_slack, loaded.left, loaded.next_at) == (
+        fresh.root_slack, fresh.left, fresh.next_at)
 
 
 def test_search_budget_stops_both_on_the_same_query():

@@ -14,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -268,12 +268,12 @@ def lower_bound_values(k: int) -> LowerBoundValues:
 # -- images of strongly monotone maps ----------------------------------------
 
 
-def _as_map(f: Sequence[Sequence[int]], s: int) -> Callable[[int, int], int]:
-    """An s-by-s table as a 1-based map."""
+def _table_rows(f: Sequence[Sequence[int]], s: int) -> list[tuple[int, ...]]:
+    """An s-by-s table as its rows: f(x, y) is rows[x - 1][y - 1]."""
     rows = [tuple(row) for row in f]
     if len(rows) != s or any(len(row) != s for row in rows):
         raise ValueError(f"table must be {s}x{s}")
-    return lambda x, y: rows[x - 1][y - 1]
+    return rows
 
 
 @dataclass(frozen=True)
@@ -293,18 +293,18 @@ class MonotoneImageResult(Record):
 def strong_monotonicity_violation(f: Sequence[Sequence[int]], s: int
                                   ) -> Optional[tuple[tuple[int, int],
                                                       tuple[int, int]]]:
-    """A pair of cells certifying that f is not strongly monotone on
-    [s]^2 (nondecreasing in each argument, strictly increasing when both
-    grow), or None."""
-    g = _as_map(f, s)
-    for x in range(1, s + 1):
-        for y in range(1, s + 1):
-            if x < s and g(x + 1, y) < g(x, y):
-                return ((x, y), (x + 1, y))
-            if y < s and g(x, y + 1) < g(x, y):
-                return ((x, y), (x, y + 1))
-            if x < s and y < s and g(x + 1, y + 1) <= g(x, y):
-                return ((x, y), (x + 1, y + 1))
+    """The first pair of 1-based cells, scanning by (x, y), certifying
+    that f is not strongly monotone on [s]^2 (nondecreasing in each
+    argument, strictly increasing when both grow), or None."""
+    g = _table_rows(f, s)
+    for x in range(s):  # 0-based; the cells returned are 1-based
+        for y in range(s):
+            if x + 1 < s and g[x + 1][y] < g[x][y]:
+                return ((x + 1, y + 1), (x + 2, y + 1))
+            if y + 1 < s and g[x][y + 1] < g[x][y]:
+                return ((x + 1, y + 1), (x + 1, y + 2))
+            if x + 1 < s and y + 1 < s and g[x + 1][y + 1] <= g[x][y]:
+                return ((x + 1, y + 1), (x + 2, y + 2))
     return None
 
 
@@ -318,15 +318,15 @@ def monotone_image(f1: Sequence[Sequence[int]], f2: Sequence[Sequence[int]],
         raise ValueError(f"side must be >= 1, got {s}")
     check_budget(s ** 3, DEFAULT_BUDGET_CELLS, "monotone_image",
                  unit="triples")
-    maps = []
+    tables = []
     for name, f in (("f1", f1), ("f2", f2), ("f3", f3)):
         bad = strong_monotonicity_violation(f, s)
         if bad is not None:
             raise ValueError(f"{name} is not strongly monotone: cells {bad}")
-        maps.append(_as_map(f, s))
-    g1, g2, g3 = maps
-    image = {(g1(x, y), g2(x, z), g3(y, z))
-             for x, y, z in itertools.product(range(1, s + 1), repeat=3)}
+        tables.append(_table_rows(f, s))
+    g1, g2, g3 = tables
+    image = {(g1[x][y], g2[x][z], g3[y][z])
+             for x, y, z in itertools.product(range(s), repeat=3)}
     return MonotoneImageResult(s, len(image), -(-s * s // 6))
 
 
@@ -344,10 +344,13 @@ def random_strongly_monotone(s: int,
     """Sample a strongly monotone table on [s]^2: each entry tops its
     left, upper and (strictly) diagonal neighbors, plus a random
     increment."""
+    # one draw of all s^2 increments takes the same stream as s^2 scalar
+    # draws, cell by cell in row order
+    steps = iter(rng.integers(0, 4, size=s * s).tolist())
     padded = [[0] * (s + 1) for _ in range(s + 1)]
     for x in range(1, s + 1):
         for y in range(1, s + 1):
             base = max(padded[x - 1][y], padded[x][y - 1],
                        padded[x - 1][y - 1] + 1)
-            padded[x][y] = base + int(rng.integers(0, 4))
+            padded[x][y] = base + next(steps)
     return [row[1:] for row in padded[1:]]

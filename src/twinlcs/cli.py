@@ -14,6 +14,7 @@ import dataclasses
 import inspect
 import json
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
@@ -409,9 +410,15 @@ _GLOBAL_DEFAULTS = (("seed", ExperimentConfig.seed),
                     ("json", False), ("out", None))
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The tree of ``build_parser``, built once per process: parsing leaves
+    it unchanged, and building it costs more than most commands."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     # global flags use suppressed defaults so any position wins; fill the rest
     for dest, value in _GLOBAL_DEFAULTS:
         if not hasattr(args, dest):

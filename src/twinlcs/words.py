@@ -129,11 +129,12 @@ def is_regular(w: Word, eps, max_length: int) -> RegularityReport:
     Regular means: every window of length at least eps*len(w) matches w to
     within eps on the frequency of every pattern of length at most L.  Windows
     are scanned by (start, end) and patterns by (length, lexicographic);
-    the first violation is reported.  The scan is charged the qualifying
-    windows times the distinct patterns of w against
-    ``DEFAULT_BUDGET_CELLS``; over it, BudgetError.  The patterns are
-    listed one length at a time and the charge, with the patterns up to
-    the length reached, is checked after each, so a refused call stops
+    the first violation is reported.  A pattern's count inside a window
+    is the difference of two prefix counts of its occurrences.  The scan
+    is charged the qualifying windows times the distinct patterns of w
+    against ``DEFAULT_BUDGET_CELLS``; over it, BudgetError.  The patterns
+    are listed one length at a time and the charge, with the patterns up
+    to the length reached, is checked after each, so a refused call stops
     before it lists the longer ones.
     """
     eps = Fraction(eps)
@@ -150,28 +151,33 @@ def is_regular(w: Word, eps, max_length: int) -> RegularityReport:
     shortest = -(-a * n // b)  # the least window length of at least eps * n
     windows = (n - shortest + 1) * (n - shortest + 2) // 2
 
-    # Sorted occurrence starts, per pattern, counted per window by bisection;
-    # windows are factors of w, so only patterns occurring in w can ever
-    # disagree with it.
+    # Occurrence starts per pattern; windows are factors of w, so only
+    # patterns occurring in w can ever disagree with it.
     starts: dict[Letters, list[int]] = {}
     for m in range(1, max_length + 1):
         for i in range(n - m + 1):
             starts.setdefault(w.letters[i : i + m], []).append(i)
         check_budget(windows * len(starts), DEFAULT_BUDGET_CELLS,
                      "is_regular", unit="window-pattern checks")
-    patterns = sorted(starts, key=lambda pat: (len(pat), pat))
+    # Per pattern, prefix counts of its starts at each window start i
+    # (``before``) and each window end j (``upto``): the occurrences inside
+    # [i, j) number upto[j - shortest] - before[i].  Each row has one entry
+    # per window start, so all rows hold at most twice the charged checks.
+    rows = []
+    for pat in sorted(starts, key=lambda pat: (len(pat), pat)):
+        pos, m = starts[pat], len(pat)
+        before = [bisect_left(pos, i) for i in range(n - shortest + 1)]
+        upto = [bisect_right(pos, j - m) for j in range(shortest, n + 1)]
+        rows.append((pat, m, len(pos), n - m + 1, before, upto))
     for i in range(n):
         for j in range(i + shortest, n + 1):
-            for pat in patterns:
-                m = len(pat)
+            for pat, m, g, total, before, upto in rows:
                 if m > j - i:
-                    continue
-                pos = starts[pat]
-                # occurrences fully inside [i, j)
-                c = bisect_right(pos, j - m) - bisect_left(pos, i)
-                slots, total = j - i - m + 1, n - m + 1
-                if b * abs(c * total - len(pos) * slots) >= a * slots * total:
-                    gap = abs(Fraction(c, slots) - Fraction(len(pos), total))
+                    break  # rows run by length: the rest are longer still
+                c = upto[j - shortest] - before[i]
+                slots = j - i - m + 1
+                if b * abs(c * total - g * slots) >= a * slots * total:
+                    gap = abs(Fraction(c, slots) - Fraction(g, total))
                     witness = RegularityWitness(i, j, Word(pat, w.k), gap)
                     return RegularityReport(False, witness)
     return RegularityReport(True, None)

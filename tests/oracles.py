@@ -432,3 +432,39 @@ def regularity_violation(letters: Sequence[int], eps,
                 if gap >= eps:
                     return i, j, pat, gap
     return None
+
+
+# -- strongly monotone tables, cell by cell ------------------------------------
+
+
+def scalar_strongly_monotone(s: int, rng) -> list[list[int]]:
+    """A strongly monotone s-by-s table drawn with one scalar
+    ``rng.integers(0, 4)`` per cell in row order: each entry tops its
+    left, upper and (strictly) diagonal neighbors by the draw."""
+    padded = [[0] * (s + 1) for _ in range(s + 1)]
+    for x in range(1, s + 1):
+        for y in range(1, s + 1):
+            base = max(padded[x - 1][y], padded[x][y - 1],
+                       padded[x - 1][y - 1] + 1)
+            padded[x][y] = base + int(rng.integers(0, 4))
+    return [row[1:] for row in padded[1:]]
+
+
+def monotonicity_violation(table: Sequence[Sequence[int]]) -> Optional[tuple]:
+    """First pair of 1-based cells (x, y), (x', y') where the table f
+    fails f(x', y') >= f(x, y), strictly when both arguments grow; cells
+    are scanned by (x, y), and (x+1, y), (x, y+1), (x+1, y+1) are tried in
+    that order.  None when the table is strongly monotone."""
+    s = len(table)
+
+    def f(x, y):
+        return table[x - 1][y - 1]
+
+    for x in range(1, s + 1):
+        for y in range(1, s + 1):
+            for dx, dy in ((1, 0), (0, 1), (1, 1)):
+                if x + dx > s or y + dy > s:
+                    continue
+                if f(x + dx, y + dy) < f(x, y) + dx * dy:
+                    return (x, y), (x + dx, y + dy)
+    return None

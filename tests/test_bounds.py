@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import role_census, tail_counts, theta_decimal
+from oracles import (monotonicity_violation, role_census,
+                     scalar_strongly_monotone, tail_counts, theta_decimal)
 from twinlcs import (
     BudgetError,
     alpha_threshold,
@@ -305,6 +306,35 @@ def test_monotone_image_rejects_violations():
     assert "f1" in str(err.value)
     decreasing = [[2, 1], [3, 4]]
     assert strong_monotonicity_violation(decreasing, 2) is not None
+
+
+def test_violation_cells_match_oracle():
+    rng = substream(54, 0)
+    found = 0
+    for _ in range(500):
+        s = int(rng.integers(1, 6))
+        table = rng.integers(0, 2 * s, size=(s, s)).tolist()
+        expected = monotonicity_violation(table)
+        assert strong_monotonicity_violation(table, s) == expected, table
+        found += expected is not None
+    assert 0 < found < 500
+    with pytest.raises(ValueError, match="^table must be 2x2$"):
+        strong_monotonicity_violation([[1, 2], [3]], 2)
+
+
+def test_batched_increments_equal_scalar_draws():
+    # criteria 12-13 and `verify lemmas` read their tables from this
+    # stream: one draw of s^2 increments must take it exactly as s^2
+    # scalar draws did, leaving the generator at the same place
+    for index in range(60):
+        for s in range(1, 7):
+            batched, scalar = substream(55, index), substream(55, index)
+            assert (random_strongly_monotone(s, batched)
+                    == scalar_strongly_monotone(s, scalar)), (index, s)
+            # Philox's state holds arrays, so compare it as text
+            assert (repr(batched.bit_generator.state)
+                    == repr(scalar.bit_generator.state))
+            assert batched.integers(0, 4) == scalar.integers(0, 4)
 
 
 def test_monotone_image_budget():

@@ -14,7 +14,8 @@ import pytest
 
 from twinlcs.cli import _GLOBAL_DEFAULTS, build_parser, load_word, main
 from twinlcs.constructions import FAMILY_BUILDERS
-from twinlcs.experiments import ExperimentConfig, minimize_expected_lcs
+from twinlcs.experiments import (ExperimentConfig, minimize_expected_lcs,
+                                 verify_suite)
 from twinlcs.lcs import DEFAULT_BUDGET_CELLS
 from twinlcs.twins import DEFAULT_NODE_BUDGET
 
@@ -542,6 +543,38 @@ def test_verify_suite(capsys):
     assert code == 0
     assert "[PASS]" in out
     assert "suite roles: all checks passed" in out
+
+
+def test_one_parser_per_process_keeps_no_state(monkeypatch, capsys):
+    from twinlcs import cli
+    builds, seeds = [], []
+
+    def counted_build():
+        builds.append(1)
+        return build_parser()
+
+    def seen_suite(name, config):
+        seeds.append(config.seed)
+        return verify_suite(name, config)
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    monkeypatch.setattr(cli, "verify_suite", seen_suite)
+    cli._parser.cache_clear()
+    code, out, _ = run(capsys, "--seed", "5", "--json", "verify", "bounds")
+    assert code == 0 and json.loads(out)["suite"] == "bounds"
+    # the flags of one call are not defaults of the next
+    code, out, _ = run(capsys, "verify", "bounds")
+    assert code == 0 and out.startswith("[PASS] ")
+    assert seeds == [5, ExperimentConfig.seed]
+    # --help and an argparse error exit leave the parser as it was
+    for argv in (["verify", "--help"], ["verify", "nope"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+    capsys.readouterr()
+    code, out, _ = run(capsys, "--json", "verify", "bounds")
+    assert code == 0 and json.loads(out)["ok"] is True
+    assert seeds == [5, ExperimentConfig.seed, ExperimentConfig.seed]
+    assert len(builds) == 1
 
 
 def test_verify_unknown_suite(capsys):

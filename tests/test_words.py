@@ -126,6 +126,38 @@ def test_regularity_matches_fraction_oracle():
     assert verdicts == {True, False}
 
 
+def test_regularity_matches_oracle_on_longer_words():
+    # prefix-count rows against the oracle's counting of every window, on
+    # words up to 40 letters, patterns up to 4 and eps from 7/10^30 (every
+    # window qualifies) to 999/1000 (only the whole word does)
+    rng = random.Random(21)
+    verdicts, starts = set(), set()
+    for _ in range(150):
+        k = rng.randint(1, 4)
+        n = rng.randint(1, 40)
+        if rng.random() < 0.4:
+            unit = [rng.randint(1, k) for _ in range(rng.randint(1, 4))]
+            letters = tuple((unit * n)[:n])
+        else:
+            letters = tuple(rng.randint(1, k) for _ in range(n))
+        eps = rng.choice([Fraction(7, 10**30), Fraction(999, 1000),
+                          Fraction(rng.randint(1, n), n),
+                          Fraction(rng.randint(1, 10**6), 10**6 + 3)])
+        max_length = rng.randint(1, min(4, n))
+        report = is_regular(Word(letters, k), eps, max_length)
+        expected = regularity_violation(letters, eps, max_length)
+        verdicts.add(report.ok)
+        if expected is None:
+            assert report.ok and report.witness is None
+        else:
+            got = report.witness
+            starts.add(got.start)
+            assert (got.start, got.end, got.pattern.letters, got.gap) \
+                == expected, (letters, eps, max_length)
+    assert verdicts == {True, False}
+    assert len(starts) > 1  # witnesses beyond the first window start
+
+
 def test_regularity_validation():
     w = parse_word("1212")
     with pytest.raises(ValueError):

@@ -23,13 +23,13 @@ from .bounds import (alpha_threshold, asymptotic_threshold,
                      union_bound)
 from .constructions import FAMILY_BUILDERS, check_family
 from .errors import BudgetError
-from .experiments import (SCHEMA_VERSION, SUITES, ExperimentConfig,
-                          estimate_lt_tail, minimize_expected_lcs,
-                          verify_suite)
+from .experiments import SCHEMA_VERSION, ExperimentConfig, estimate_lt_tail
 from .lcs import lcs_pair, lcs_reversible, set_lcs_stats
+from .perm import minimize_expected_lcs
 from .twins import (DEFAULT_EXACT_LENGTH, DEFAULT_ORACLE_LENGTH, lt_exact,
                     lt_oracle, parse_roles, role_stats, roles_to_text,
                     twins_via_blocks, twins_via_runs)
+from .verify import SUITES, verify_suite
 from .words import Word, parse_word
 
 

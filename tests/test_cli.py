@@ -14,10 +14,11 @@ import pytest
 
 from twinlcs.cli import _GLOBAL_DEFAULTS, build_parser, load_word, main
 from twinlcs.constructions import FAMILY_BUILDERS
-from twinlcs.experiments import (ExperimentConfig, minimize_expected_lcs,
-                                 verify_suite)
+from twinlcs.experiments import ExperimentConfig
 from twinlcs.lcs import DEFAULT_BUDGET_CELLS
+from twinlcs.perm import minimize_expected_lcs
 from twinlcs.twins import DEFAULT_NODE_BUDGET
+from twinlcs.verify import verify_suite
 
 
 def run(capsys, *argv):

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,8 +32,8 @@ from twinlcs import (
     verify_suite,
     wilson_interval,
 )
-from twinlcs.experiments import (EXHAUSTIVE_CAP, _growth_strings,
-                                 _local_minimum)
+from twinlcs.experiments import EXHAUSTIVE_CAP, _growth_strings
+from twinlcs.perm import _local_minimum
 from twinlcs.twins import _oracle_lengths, _TwinSearch
 
 
@@ -274,6 +275,22 @@ def test_pairwise_lcs_table_k6_digest():
         "5efed4e49edefb27ff6f48ad14dcf683ad066dfcfb4c3b28daf0eb41faed1284")
 
 
+def test_permutation_layer_refuses_over_the_cap_at_once():
+    # one check, before anything of size k! is built: k = 13 would be a
+    # 6.2G-entry tuple of weights
+    start = time.process_time()
+    for k in (7, 13):
+        for build in (permutations_of, PermutationDistribution.uniform,
+                      pairwise_lcs_table, minimize_expected_lcs,
+                      lambda k: PermutationDistribution(k, (1,))):
+            with pytest.raises(BudgetError, match=r"over the cap k <= 6"):
+                build(k)
+    assert time.process_time() - start < 1.0
+    for build in (permutations_of, PermutationDistribution.uniform):
+        with pytest.raises(ValueError, match="alphabet size must be >= 1"):
+            build(0)
+
+
 def test_distribution_validation():
     uniform = PermutationDistribution.uniform(3)
     assert uniform.exact
@@ -354,17 +371,17 @@ def test_local_minimum_matches_scalar_oracle():
 @st.composite
 def descent_cases(draw):
     """A square matrix and a start for the exchange descent.  Entries are
-    small integers or reals, the matrix is symmetric or not, and a lift of
-    the diagonal sets how many pairs have curvature c < 0 (none at 8); a
-    scale of 1e-12 puts the gains of the moves near the tolerance.  Starts
-    hold exact zeros and 1e-9 entries."""
+    small integers or reals, the matrix is symmetric or not, and the
+    diagonal is lifted by 8, so no pair has curvature c < 0 (the descent's
+    precondition); a scale of 1e-12 puts the gains of the moves near the
+    tolerance.  Starts hold exact zeros and 1e-9 entries."""
     size = draw(st.integers(2, 12))
     entry = st.integers(-3, 3).map(float) | st.floats(-4.0, 4.0)
     a = np.array(draw(st.lists(entry, min_size=size * size,
                                max_size=size * size))).reshape(size, size)
     if draw(st.booleans()):
         a = np.triu(a) + np.triu(a, 1).T
-    a += np.diag(np.full(size, draw(st.sampled_from([0.0, 3.0, 8.0]))))
+    a += np.diag(np.full(size, 8.0))
     a *= draw(st.sampled_from([1.0, 1e-12]))
     weight = st.sampled_from([0.0, 1e-9]) | st.floats(0.0, 1.0)
     start = np.array(draw(st.lists(weight, min_size=size, max_size=size)))

@@ -50,3 +50,19 @@ def test_budget_comes_from_errors():
         private = {name for name in imports_from(source, "lcs")
                    if name.startswith("_")}
         assert private == set(), path.name
+
+
+def test_layering():
+    # sampling and tail estimation sit below the permutation layer, and
+    # only the suites and the CLI reach bounds and constructions (the
+    # package __init__, which re-exports every layer, is not in MODULES)
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+
+    def siblings(name: str) -> set[str]:
+        return {m for m in sources if imports_from(sources[name], m)}
+
+    assert siblings("experiments") <= {"errors", "twins", "words"}
+    assert siblings("perm") <= {"errors", "experiments", "words"}
+    reach = {name for name in sources
+             if siblings(name) & {"bounds", "constructions"}}
+    assert reach == {"cli", "verify"}

@@ -1,6 +1,7 @@
 """Word type, parsing, rendering and regularity."""
 
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import regularity_violation
 from twinlcs import BudgetError, Word, is_regular, parse_word, sample_word
+from twinlcs.words import _CHECK_CELLS
 
 words = st.integers(1, 4).flatmap(
     lambda k: st.lists(st.integers(1, k), max_size=12).map(
@@ -181,20 +183,31 @@ def test_regularity_budget_charges_windows_times_patterns(monkeypatch):
                   if j - i >= eps * n)
     patterns = {irregular.letters[i:i + m] for m in range(1, cap + 1)
                 for i in range(n - m + 1)}
-    charge = windows * len(patterns)
-    assert charge == 55 * 6
+    assert windows * len(patterns) == 55 * 6
+    charge = _CHECK_CELLS * windows * len(patterns)
     monkeypatch.setattr("twinlcs.words.DEFAULT_BUDGET_CELLS", charge)
     assert not is_regular(irregular, eps, cap)
     # one below the charge: refused before the scan finds the violation
     monkeypatch.setattr("twinlcs.words.DEFAULT_BUDGET_CELLS", charge - 1)
     with pytest.raises(BudgetError, match=f"^is_regular needs {charge} "
-                                          "window-pattern checks"):
+                                          rf"cells \({_CHECK_CELLS} per "
+                                          "window-pattern check"):
         is_regular(irregular, eps, cap)
+
+
+def test_regularity_budget_refuses_a_long_scan_before_it_starts():
+    # 94.7M window-pattern checks, about 30 s of scanning if admitted: the
+    # charge passes the budget at pattern length 2, before any row is built
+    w = sample_word(4, 3000, 0)
+    start = time.process_time()
+    with pytest.raises(BudgetError, match="^is_regular needs "):
+        is_regular(w, Fraction(1, 2), 3)
+    assert time.process_time() - start < 1.0
 
 
 def test_regularity_budget_refuses_before_listing_long_patterns():
     # 634,501 windows: the running charge passes the budget at pattern
-    # length 7, long before the 100-letter patterns would be listed
+    # length 5, long before the 100-letter patterns would be listed
     w = sample_word(2, 1500, 0)
     tracemalloc.start()
     try:

@@ -8,6 +8,7 @@ output byte for byte.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,16 +51,30 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+@functools.cache
+def _word_rng() -> np.random.Generator:
+    """The generator sample_word resets on every call, built at first use
+    so that importing the package does not import numpy.random."""
+    return np.random.Generator(np.random.Philox(0))
+
+
 def sample_word(k: int, n: int, seed: int, index: int = 0) -> Word:
     """Uniform random word over [k]^n, deterministic per (seed, k, n,
-    index)."""
+    index): the letters ``substream(seed, index)`` would draw.  Building
+    that generator costs about 30 us, so one private generator is reset
+    to the state a new one starts in (not safe across threads)."""
     if k < 1:
         raise ValueError(f"alphabet size must be >= 1, got {k}")
     if n < 0:
         raise ValueError(f"length must be >= 0, got {n}")
-    rng = substream(seed, index)
-    letters = tuple(int(x) for x in rng.integers(1, k + 1, size=n))
-    return Word(letters, k)
+    rng = _word_rng()
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0,) * 4,
+                  "key": np.array([seed, index], dtype=np.uint64)},
+        "buffer": (0,) * 4, "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return Word(rng.integers(1, k + 1, size=n).tolist(), k)
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -116,14 +131,23 @@ def _growth_strings(n: int, k: int) -> Iterator[tuple[int, ...]]:
     """Restricted growth strings of length n over [k] in lexicographic
     order: each entry is at most one more than the largest before it (the
     first is 1).  Each is the word of its renaming class whose letters are
-    1, 2, ... in order of first occurrence."""
-    def grow(prefix: tuple[int, ...], top: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == n:
-            yield prefix
+    1, 2, ... in order of first occurrence.
+
+    The successor raises the last entry that can grow, which is below both
+    k and one more than the largest before it, and resets the rest to 1.
+    """
+    s = [1] * n
+    top = [1] * n  # top[i]: largest of s[:i + 1]
+    while True:
+        yield tuple(s)
+        i = n - 1
+        while i > 0 and (s[i] > top[i - 1] or s[i] == k):
+            i -= 1
+        if i <= 0:
             return
-        for c in range(1, min(top + 1, k) + 1):
-            yield from grow(prefix + (c,), max(top, c))
-    return grow((), 0)
+        s[i] += 1
+        s[i + 1:] = [1] * (n - 1 - i)
+        top[i:] = [max(top[i - 1], s[i])] * (n - i)
 
 
 def estimate_lt_tail(k: int, n: int, alpha: float,

@@ -46,8 +46,8 @@ Roles = tuple[int, ...]
 
 DEFAULT_EXACT_LENGTH = 60
 DEFAULT_ORACLE_LENGTH = 14
-# Bounds time, not memory: the failure memo of the twin search keeps about
-# 100-130 bytes per state, so 5M states can hold about 0.6 GB.
+# Bounds time, not memory: each state of the twin search may leave a failure
+# of 110-120 bytes (RSS) in its memo, so 5M states can hold about 0.6 GB.
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
@@ -262,7 +262,10 @@ class _TwinSearch:
     The state after scanning a prefix is the queue ``debt`` of letters
     marked 1 but not yet matched by a 2 (first in, first out).  ``find``
     asks for a role word that places a given number of pairs and empties
-    the queue by the end of the word.
+    the queue by the end of the word.  ``nodes`` counts the states that
+    pass their bounds and that the failure memo does not settle; a child
+    that fails its bounds is not called, which on random words halves
+    the count (and the memo) of the same search.
 
     Each state also carries two integers, handed down from its parent in
     O(1), that decide whether it can still succeed:
@@ -353,6 +356,8 @@ class _TwinSearch:
     def find(self, need: int) -> Optional[Roles]:
         """Lexicographically smallest monotone role word with exactly
         ``need`` pairs, or None."""
+        if need > self.root_slack:  # at most n // 2, so end = 0 passes
+            return None
         return self._find(0, (), need, 0, self.root_slack)
 
     def _find(self, pos: int, debt: Roles, need: int, end: int,
@@ -360,10 +365,13 @@ class _TwinSearch:
         """Lexicographically smallest role suffix for letters[pos:] that
         places exactly ``need`` more pairs and clears ``debt``, or None.
 
-        Roles are tried in the order 0, 1, 2, so the first completion
-        found is the minimum.  A failure is remembered as the smallest
-        ``need`` that failed at the state; dropping the last pair of
-        any completion leaves one with a pair fewer, so every larger
+        The caller has tested need <= n - end and need <= slack.  The
+        role-0 child is tested on both, the role-1 child on ``end`` alone
+        (a pair fewer, one less ``slack``) and the role-2 child keeps
+        these numbers.  Roles are tried in the order 0, 1, 2, so the first
+        completion found is the minimum.  A failure is remembered as the
+        smallest ``need`` that failed at the state; dropping the last pair
+        of any completion leaves one with a pair fewer, so every larger
         ``need`` fails there too.
         """
         failed = self.failed[pos]
@@ -375,24 +383,27 @@ class _TwinSearch:
                 f"twin search exceeded {self.budget_nodes} states")
         if not debt and not need:  # only zeros remain, also at pos == n
             return (0,) * (self.n - pos)
-        if need <= self.n - end and need <= slack:
-            c = self.letters[pos]
-            avail = self.left[pos] - debt.count(c)
-            end0 = (end if debt and debt[0] != c
-                    else self.greedy_end(pos + 1, debt))
-            found = self._find(pos + 1, debt, need, end0,
-                               slack - 1 + (avail & 1))
+        c = self.letters[pos]
+        avail = self.left[pos] - debt.count(c)
+        room = self.n - need  # need <= n - end, as a bound on end
+        end0 = (end if debt and debt[0] != c
+                else self.greedy_end(pos + 1, debt))
+        slack0 = slack - 1 + (avail & 1)
+        if end0 <= room and need <= slack0:
+            found = self._find(pos + 1, debt, need, end0, slack0)
             if found is not None:
                 return (0,) + found
-            if need:
-                found = self._find(pos + 1, debt + (c,), need - 1,
-                                   self.next_at[end0][c] + 1, slack - 1)
+        if need:
+            end1 = self.next_at[end0][c] + 1
+            if end1 <= room + 1:
+                found = self._find(pos + 1, debt + (c,), need - 1, end1,
+                                   slack - 1)
                 if found is not None:
                     return (1,) + found
-            if debt and debt[0] == c:
-                found = self._find(pos + 1, debt[1:], need, end, slack)
-                if found is not None:
-                    return (2,) + found
+        if debt and debt[0] == c:
+            found = self._find(pos + 1, debt[1:], need, end, slack)
+            if found is not None:
+                return (2,) + found
         failed[debt] = need
         return None
 
@@ -407,8 +418,8 @@ def lt_exact(word: Word, *, max_length: int = DEFAULT_EXACT_LENGTH,
     at most n // 2), so a success settles the value in one query.
     Otherwise it asks for 0, 1, 2, ... pairs and keeps the last success;
     failures found for one target stay valid for the next.  Raises
-    BudgetError past ``budget_nodes`` states; the failure memo keeps
-    about 100-130 bytes per state, so the default can hold about 0.6 GB
+    BudgetError past ``budget_nodes`` states; each may leave a failure of
+    110-120 bytes in the memo, so the default can hold about 0.6 GB
     before that.
     """
     if len(word) > max_length:

@@ -184,8 +184,9 @@ class ReferenceTwinSearch:
     feasibility test recomputed from the state at every node.
 
     Same states, memo and role order as the package's search, so the two
-    must agree on roles and on the node count of every query.
-    ``_clears`` walks the whole owed queue and ``_fits`` counts each
+    must agree on roles and on the node count of every query.  The
+    bounds are tested before the memo lookup, so a state that fails them
+    is neither counted nor remembered.  ``_clears`` walks the whole owed queue and ``_fits`` counts each
     letter of it afresh, which is what the package's search avoids.
     Every further pair has its 2 after the owed letters' 2s, so
     ``_clears`` also asks that ``need`` 2s fit after the greedy match.
@@ -239,6 +240,9 @@ class ReferenceTwinSearch:
              need: int) -> Optional[tuple[int, ...]]:
         """Lexicographically smallest role suffix for letters[pos:] that
         places exactly ``need`` more pairs and clears ``debt``, or None."""
+        if not (self._clears(pos, debt, need)
+                and self._fits(pos, debt, need)):
+            return None
         key = (pos, debt)
         if need >= self.failed.get(key, need + 1):
             return None
@@ -247,19 +251,18 @@ class ReferenceTwinSearch:
             raise SearchBudgetExceeded(self.budget_nodes)
         if not debt and not need:  # only zeros remain, also at pos == n
             return (0,) * (self.n - pos)
-        if self._clears(pos, debt, need) and self._fits(pos, debt, need):
-            c = self.letters[pos]
-            found = self.find(pos + 1, debt, need)
+        c = self.letters[pos]
+        found = self.find(pos + 1, debt, need)
+        if found is not None:
+            return (0,) + found
+        if need:
+            found = self.find(pos + 1, debt + (c,), need - 1)
             if found is not None:
-                return (0,) + found
-            if need:
-                found = self.find(pos + 1, debt + (c,), need - 1)
-                if found is not None:
-                    return (1,) + found
-            if debt and debt[0] == c:
-                found = self.find(pos + 1, debt[1:], need)
-                if found is not None:
-                    return (2,) + found
+                return (1,) + found
+        if debt and debt[0] == c:
+            found = self.find(pos + 1, debt[1:], need)
+            if found is not None:
+                return (2,) + found
         self.failed[key] = need
         return None
 

@@ -61,6 +61,29 @@ def test_sample_word():
         sample_word(0, 5, 0)
 
 
+def test_sample_word_draws_what_its_substream_draws():
+    # the reset generator starts where a new substream starts, whatever
+    # the previous call left in its counter, buffer or spare 32-bit half
+    for seed, index, k, n in itertools.product(
+            (0, 1, 2 ** 63, 2 ** 64 - 1), (0, 7, 2 ** 64 - 1),
+            (1, 2, 3, 300, 2 ** 40), (0, 1, 3, 40, 257)):
+        want = substream(seed, index).integers(1, k + 1, size=n)
+        assert sample_word(k, n, seed, index=index).letters == tuple(
+            want.tolist()), (seed, index, k, n)
+
+
+def test_sample_word_leaves_held_substreams_alone():
+    held, alone = substream(5, 1), substream(5, 1)
+    got = []
+    for i in range(6):
+        got.append(held.integers(0, 2 ** 40, size=i))
+        sample_word(3, 2 * i + 1, 5, index=1)
+        got.append(held.random(3))
+    want = [draw for i in range(6)
+            for draw in (alone.integers(0, 2 ** 40, size=i), alone.random(3))]
+    assert all((a == b).all() for a, b in zip(got, want))
+
+
 def test_sample_word_is_uniform_enough():
     # letter frequencies stay within 5 sigma on a large sample
     counts = [0, 0, 0]
@@ -189,8 +212,9 @@ def test_tail_exhaustive_route_matches_brute_force_twins(k, n):
 
 
 def test_growth_strings_name_letters_in_order_of_first_occurrence():
+    # the successor walk against a filter of every word, n = 0 included
     for k in range(1, 5):
-        for n in range(8):
+        for n in range(9):
             want = [s for s in itertools.product(range(1, k + 1), repeat=n)
                     if all(c <= max(s[:i], default=0) + 1
                            for i, c in enumerate(s))]

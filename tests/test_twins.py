@@ -213,11 +213,12 @@ def test_minimal_certificate_matches_unpruned_oracle_exhaustive_ternary():
 
 
 def test_exact_sixty_letters_within_a_small_budget():
-    # the bound on pairs after the owed letters' greedy end keeps each
-    # full ascent under 150k states (without it these take 210k-321k)
+    # the bounds are tested before a child is called, so only states that
+    # pass them count: these take 12,980-35,251 states (24,886-69,325
+    # when the failing children were counted too)
     for i in range(4):
         w = sample_word(4, 60, 0, index=i)
-        cert = lt_exact(w, budget_nodes=150_000)
+        cert = lt_exact(w, budget_nodes=40_000)
         assert cert.length == 26
         assert is_twin_roles(w, cert.roles) and cert.is_monotone
         assert twins_via_runs(w).length <= cert.length <= split_upper_bound(w)
@@ -225,7 +226,8 @@ def test_exact_sixty_letters_within_a_small_budget():
 
 def test_ceiling_query_settles_most_binary_words(monkeypatch):
     # most binary words reach the letter-count ceiling, which lt_exact asks
-    # first; climbing 0, 1, 2, ... pairs took 116058 and 45496 states
+    # first (31,896 and 7,947 states); climbing 0, 1, 2, ... pairs took
+    # 116,058 and 45,496 states when children failing the bounds counted
     searches = []
 
     class Counted(_TwinSearch):
@@ -237,11 +239,11 @@ def test_ceiling_query_settles_most_binary_words(monkeypatch):
     for letters in itertools.chain.from_iterable(
             itertools.product((1, 2), repeat=n) for n in range(1, 11)):
         lt_exact(Word(letters, 2))
-    assert sum(s.nodes for s in searches) <= 55_000
+    assert sum(s.nodes for s in searches) <= 32_000
     searches.clear()
     for i in range(30):
         lt_exact(sample_word(2, 40, 0, index=i))
-    assert sum(s.nodes for s in searches) <= 16_000
+    assert sum(s.nodes for s in searches) <= 8_000
 
 
 def test_search_pays_for_the_letters_that_occur_not_the_alphabet():
@@ -361,6 +363,40 @@ def test_search_budget_stops_both_on_the_same_query():
         assert_matches_reference(letters, 3, budget)
     with pytest.raises(BudgetError):
         _TwinSearch(Word(letters, 3), 40).find(8)
+
+
+def test_search_past_the_root_bounds_costs_nothing():
+    # a need above n or above the letter-count ceiling is refused before
+    # the root is called: no state counted, nothing remembered
+    for word in (Word((1, 2, 1, 2, 3), 3), Word((1, 2, 3), 3), Word((), 2)):
+        search = _TwinSearch(word)
+        for need in (search.root_slack + 1, len(word) + 1):
+            assert search.find(need) is None
+            assert search.nodes == 0 and not search.failed[0]
+    search = _TwinSearch(Word((1,) * 6, 1))
+    assert search.root_slack == 3
+    assert search.find(3) is not None and search.find(4) is None
+
+
+@given(st.integers(1, 4).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.integers(1, k), max_size=16),
+    st.lists(st.integers(0, 9), max_size=6))))
+def test_search_memo_never_outgrows_its_node_count(case):
+    # only a state that passes its bounds is called, and each call writes
+    # at most one failure, whatever the sequence of queries
+    k, letters, needs = case
+    search = _TwinSearch(Word(tuple(letters), k))
+    for need in needs:
+        search.find(need)
+        assert sum(map(len, search.failed)) <= search.nodes
+
+
+def test_search_node_count_pinned():
+    # a refutation: 1,109 states when the children that fail their bounds
+    # were called too
+    search = _TwinSearch(sample_word(3, 40, 0))
+    assert search.find(19) is None
+    assert search.nodes == 527
 
 
 # -- the enumeration oracle -----------------------------------------------------

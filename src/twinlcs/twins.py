@@ -463,9 +463,13 @@ def regularize(cert: TwinCertificate) -> TwinCertificate:
 # -- independent oracle ------------------------------------------------------
 
 
-# Letters compared in one array step of the oracle; the temporaries of a
-# step stay near 1 MiB whatever the batch or table size.
-_CHUNK_LETTERS = 1 << 20
+# Letters in each array of one oracle step, a chunk of words times a span of
+# role words.  A step holds three such arrays at once (0.75 MiB of uint8
+# letters); over all 4096 binary words of length 12 the traced peak of
+# _oracle_lengths is 0.98 MiB.  A span takes at most _SPAN_ROLE_WORDS role
+# words, so that a single word stops soon after the first one that fits.
+_CHUNK_LETTERS = 1 << 18
+_SPAN_ROLE_WORDS = 1 << 13
 
 
 def _ballot_slots(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -493,10 +497,10 @@ def _ballot_slots(m: int) -> tuple[np.ndarray, np.ndarray]:
 def _ballot_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Index tables of every monotone role word of length n with m >= 1 pairs.
 
-    Returns arrays (ones, twos) of shape (count, m): row r lists the
-    role-1 and role-2 positions of the r-th role word.  A role word is a
-    choice of its 2m marked positions times a ballot word on them, so
-    the tables are the C(n, 2m) position choices indexed by the
+    Returns arrays (ones, twos) of shape (m, count), pair-major: column r
+    lists the role-1 and role-2 positions of the r-th role word.  A role
+    word is a choice of its 2m marked positions times a ballot word on
+    them, so the tables are the C(n, 2m) position choices indexed by the
     Catalan(m) ballot slots.  Their entries are charged against
     ``DEFAULT_BUDGET_CELLS`` before anything is built.
     """
@@ -509,26 +513,39 @@ def _ballot_tables(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         dtype=np.min_scalar_type(n), count=marked * 2 * m
     ).reshape(marked, 2 * m)
     slot_ones, slot_twos = _ballot_slots(m)
-    # returned pair-major (the transposes are contiguous): the comparison
-    # then reduces over m long rows instead of many rows of length m
-    return (positions.T[slot_ones.T].reshape(m, -1).T,
-            positions.T[slot_twos.T].reshape(m, -1).T)
+    return (positions.T[slot_ones.T].reshape(m, -1),
+            positions.T[slot_twos.T].reshape(m, -1))
 
 
 def _any_twins(letters: np.ndarray, ones: np.ndarray,
                twos: np.ndarray) -> np.ndarray:
-    """Per row of ``letters``: does some table row mark equal letters?"""
-    count, m = len(letters), ones.shape[1]
+    """Per row of ``letters``: does some role word of the pair-major
+    tables mark equal letters?
+
+    A step takes a chunk of words, transposed so that gathering one
+    position copies a contiguous run of the chunk's letters, and a span
+    of role words.  It builds the (span, words) mask of the role words
+    whose pair slot 0 holds two different letters (their XOR is nonzero),
+    ORs in slots 1 ... m-1 one at a time, and marks each word that some
+    role word leaves clear; a chunk stops once all its words are marked.
+    """
+    count = len(letters)
+    m, roles = ones.shape
     hit = np.zeros(count, dtype=bool)
-    words = max(1, _CHUNK_LETTERS // ones.size)
-    span = max(1, _CHUNK_LETTERS // (words * m))
+    words = max(1, _CHUNK_LETTERS // roles)
+    span = max(1, min(_SPAN_ROLE_WORDS, _CHUNK_LETTERS // words))
     for lo in range(0, count, words):
-        sub = letters[lo:lo + words]
+        sub = np.ascontiguousarray(letters[lo:lo + words].T)
         done = hit[lo:lo + words]
-        for r in range(0, len(ones), span):
-            same = (sub.take(ones.T[:, r:r + span], axis=1)
-                    == sub.take(twos.T[:, r:r + span], axis=1))
-            done |= same.all(axis=1).any(axis=1)
+        for r in range(0, roles, span):
+            cols = slice(r, r + span)
+            differ = sub.take(ones[0, cols], axis=0)
+            differ ^= sub.take(twos[0, cols], axis=0)
+            for s in range(1, m):
+                slot = sub.take(ones[s, cols], axis=0)
+                slot ^= sub.take(twos[s, cols], axis=0)
+                differ |= slot
+            done |= (differ == 0).any(axis=0)
             if done.all():
                 break
     return hit
@@ -540,8 +557,10 @@ def _oracle_lengths(letters: np.ndarray) -> np.ndarray:
 
     Works from the largest pair count down; at each count it tests only
     the rows not yet settled whose per-letter slack allows that many
-    pairs, against every role word of the table.  The slack takes one
-    array pass per letter that occurs, whatever the alphabet.
+    pairs, against every role word of the table, in steps whose arrays
+    hold at most ``_CHUNK_LETTERS`` letters each (``_any_twins``).  The
+    slack takes one array pass per letter that occurs, whatever the
+    alphabet.
     """
     letters = np.asarray(letters)
     letters = letters.astype(np.min_scalar_type(letters.max(initial=0)))
@@ -566,7 +585,7 @@ def lt_oracle(word: Word, *, max_length: int = DEFAULT_ORACLE_LENGTH) -> int:
     A monotone role word is a choice of its marked positions times a
     ballot word on them.  For each candidate pair count, in decreasing
     order, every such role word is materialized and checked against the
-    word by vectorized letter comparisons; ``_oracle_lengths`` does the
+    word one pair slot at a time; ``_oracle_lengths`` does the
     same for a whole batch of words of one length at once.  Independent
     of the search by design.  Raises ValueError past ``max_length`` and
     BudgetError when a role table would exceed ``DEFAULT_BUDGET_CELLS``.
@@ -648,27 +667,30 @@ class BlockTwinsResult(Record):
 def twins_via_blocks(word: Word) -> BlockTwinsResult:
     """Blockwise twins: round-robin split each block of 3k positions
     into three tracks, take the best pairwise LCS per block, and chain
-    the per-block twins.  A trailing partial block is dropped."""
+    the per-block twins.  A trailing partial block is dropped.
+
+    Each block takes the three pair lengths and one witness, for the
+    first longest pair in the order (0, 1), (0, 2), (1, 2), so the
+    witness budget is charged once per block."""
     k = word.k
     n = len(word)
     size = 3 * k
     roles = [0] * n
     values = []
     for base in range(0, n - size + 1, size):
-        tracks = [[base + off for off in range(size) if off % 3 == track]
-                  for track in range(3)]
-        track_words = [Word(tuple(word[p] for p in tr), k) for tr in tracks]
-        best = None
-        for a, b in ((0, 1), (0, 2), (1, 2)):
-            res = lcs_pair(track_words[a], track_words[b])
-            if best is None or res.length > best[0]:
-                best = (res.length, a, b, res.indices)
-        length, a, b, (in_a, in_b) = best
+        tracks = [range(base + track, base + size, 3) for track in range(3)]
+        block = word.letters[base:base + size]
+        track_words = [Word(block[track::3], k) for track in range(3)]
+        pairs = ((0, 1), (0, 2), (1, 2))
+        lengths = [lcs_len(track_words[a], track_words[b]) for a, b in pairs]
+        a, b = pairs[lengths.index(max(lengths))]
+        res = lcs_pair(track_words[a], track_words[b])
+        in_a, in_b = res.indices
         for idx in in_a:
             roles[tracks[a][idx]] = 1
         for idx in in_b:
             roles[tracks[b][idx]] = 2
-        values.append(length)
+        values.append(res.length)
     cert = monotonize(extract(word, tuple(roles)))
     return BlockTwinsResult(cert, tuple(values), (k / 3) ** (1.0 / 3.0))
 

@@ -296,6 +296,39 @@ def monotone_role_words(n: int, m: int
     return rows
 
 
+def blockwise_roles(letters: Sequence[int], k: int, witness
+                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Role word (before monotonization) and block values of the
+    blockwise twins, with a full witness for all three track pairs.
+
+    Each block of 3k positions is dealt round-robin into three tracks.
+    ``witness(x, y)`` returns (length, (indices in x, indices in y)) for
+    two track words; it is passed in so that the reference places the
+    package's alignment.  The first longest pair in the order (0, 1),
+    (0, 2), (1, 2) marks its positions 1 and 2.
+    """
+    letters = tuple(letters)
+    roles = [0] * len(letters)
+    values = []
+    size = 3 * k
+    for base in range(0, len(letters) - size + 1, size):
+        tracks = [[base + off for off in range(size) if off % 3 == track]
+                  for track in range(3)]
+        words = [tuple(letters[p] for p in tr) for tr in tracks]
+        best = None
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            length, indices = witness(words[a], words[b])
+            if best is None or length > best[0]:
+                best = (length, a, b, indices)
+        length, a, b, (in_a, in_b) = best
+        for i in in_a:
+            roles[tracks[a][i]] = 1
+        for i in in_b:
+            roles[tracks[b][i]] = 2
+        values.append(length)
+    return tuple(roles), tuple(values)
+
+
 # -- role-word census ---------------------------------------------------------
 
 

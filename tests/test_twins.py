@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import (ReferenceTwinSearch, SearchBudgetExceeded, brute_twins,
+from oracles import (ReferenceTwinSearch, SearchBudgetExceeded,
+                     blockwise_roles, brute_lcs, brute_twins,
                      lexmin_monotone_roles, monotone_role_words)
 from twinlcs import (
     BudgetError,
@@ -22,6 +23,7 @@ from twinlcs import (
     is_monotone,
     is_regular_pair,
     is_twin_roles,
+    lcs_pair,
     lt_exact,
     lt_oracle,
     minimal_certificate,
@@ -406,8 +408,9 @@ def test_ballot_tables_match_reference_enumeration():
     for n in range(13):
         for m in range(1, n // 2 + 1):
             ones, twos = _ballot_tables(n, m)
-            rows = list(zip(map(tuple, ones.tolist()),
-                            map(tuple, twos.tolist())))
+            assert ones.shape == twos.shape == (m, ones.shape[1]), (n, m)
+            rows = list(zip(map(tuple, ones.T.tolist()),
+                            map(tuple, twos.T.tolist())))
             catalan = math.comb(2 * m, m) // (m + 1)
             assert len(rows) == math.comb(n, 2 * m) * catalan, (n, m)
             assert len(set(rows)) == len(rows), (n, m)
@@ -485,6 +488,32 @@ def test_oracle_keeps_no_memory_between_calls():
     finally:
         tracemalloc.stop()
     assert kept < 0.1 * 2**20, kept
+
+
+def test_oracle_step_memory_is_bounded_by_the_chunk():
+    # a step holds three (span, words) arrays of at most _CHUNK_LETTERS
+    # uint8 letters; the batch's own arrays (its letters, slack, lengths)
+    # take about 0.25 MiB more at 4096 words
+    _, letters = _batch(2, 12)
+    tracemalloc.start()
+    try:
+        _oracle_lengths(letters)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * twins._CHUNK_LETTERS + 2**19, peak
+
+
+def test_single_word_oracle_memory_is_its_tables():
+    # the m = 7 tables hold 2 * 7 * 51,480 bytes (0.69 MiB); a step of one
+    # word reads at most _SPAN_ROLE_WORDS of their role words
+    tracemalloc.start()
+    try:
+        assert lt_oracle(parse_word("0110010010101101"), max_length=16) == 7
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 # -- canonical certificates -----------------------------------------------------
@@ -601,6 +630,48 @@ def test_twins_via_blocks():
         assert res.certificate.length == sum(res.block_values)
         assert res.floor_met == all(
             v >= res.per_block_floor for v in res.block_values)
+
+
+@st.composite
+def tied_block_words(draw) -> Word:
+    """Words of 1-3 full blocks and a partial one over few letters, where
+    tracks are often copies of the block's first track: ties are common."""
+    k = draw(st.integers(2, 6))
+    pool = draw(st.integers(1, k))
+    track = st.lists(st.integers(1, pool), min_size=k, max_size=k)
+    letters = []
+    for _ in range(draw(st.integers(1, 3))):
+        first = draw(track)
+        tracks = [first] + [first if draw(st.booleans()) else draw(track)
+                            for _ in range(2)]
+        letters += [tracks[off % 3][off // 3] for off in range(3 * k)]
+    letters += draw(st.lists(st.integers(1, pool), max_size=3 * k - 1))
+    return Word(tuple(letters), k)
+
+
+def _track_witness(k: int):
+    def witness(x, y):
+        res = lcs_pair(Word(x, k), Word(y, k))
+        assert res.length == brute_lcs(x, y)
+        return res.length, res.indices
+    return witness
+
+
+@given(tied_block_words())
+def test_block_twins_match_the_three_witness_reference(w):
+    roles, values = blockwise_roles(w.letters, w.k, _track_witness(w.k))
+    res = twins_via_blocks(w)
+    assert res.block_values == values
+    assert res.certificate == monotonize(extract(w, roles))
+
+
+def test_block_twins_take_the_first_of_tied_pairs():
+    # three equal tracks tie every pair, so tracks 0 and 1 take the roles
+    k = 3
+    w = Word(tuple(t for t in (1, 2, 3) for _ in range(3)), k)
+    res = twins_via_blocks(w)
+    assert res.block_values == (3,)
+    assert res.certificate.roles == (1, 2, 0) * 3
 
 
 def test_random_monotone_certificate():

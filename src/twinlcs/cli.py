@@ -3,14 +3,16 @@ tail bounds, seeded experiments, and verification suites.
 
 Words are accepted inline (full ``k=2;w=1,2,1`` form or compact digits)
 or from a file via ``@path``.  Global flags may appear before or after
-the subcommand.  With ``--json`` every command emits one JSON document
+the subcommand.  Argparse picks the handler: each leaf command, and each
+twin method flag, stores its own in ``func``.  A handler returns its JSON
+payload and text lines; ``main`` alone builds the ExperimentConfig and
+writes the output.  With ``--json`` every command emits one JSON document
 carrying a schema_version field; ``--out`` redirects output to a file.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import inspect
 import json
 import sys
@@ -40,23 +42,10 @@ def load_word(text: str) -> Word:
     return parse_word(text)
 
 
-def _emit(args: argparse.Namespace, payload: dict,
-          lines: list[str]) -> None:
-    if args.json:
-        body = json.dumps({"schema_version": SCHEMA_VERSION, **payload},
-                          indent=2, sort_keys=True, default=str) + "\n"
-    else:
-        body = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(body, encoding="utf-8")
-    else:
-        sys.stdout.write(body)
+# -- subcommand handlers: each returns (payload, lines[, exit code]) ---------
 
 
-# -- subcommand handlers ------------------------------------------------------
-
-
-def _cmd_lcs(args: argparse.Namespace, config: ExperimentConfig) -> int:
+def _cmd_lcs(args: argparse.Namespace, config: ExperimentConfig):
     a = load_word(args.first)
     b = load_word(args.second)
     if args.reversible:
@@ -74,11 +63,10 @@ def _cmd_lcs(args: argparse.Namespace, config: ExperimentConfig) -> int:
         lines.append(f"common: {detail.word.to_text()}")
         for label, ix in zip(("first", "second"), detail.indices):
             lines.append(f"{label}: {' '.join(map(str, ix))}")
-    _emit(args, result.to_json(), lines)
-    return 0
+    return result.to_json(), lines
 
 
-def _cmd_lcs_set(args: argparse.Namespace, config: ExperimentConfig) -> int:
+def _cmd_lcs_set(args: argparse.Namespace, config: ExperimentConfig):
     words = [load_word(text) for text in args.words]
     stats = set_lcs_stats(words, args.t, budget_cells=config.budget_cells)
     lines = [f"words: {len(words)}", f"t: {stats.t}",
@@ -87,8 +75,7 @@ def _cmd_lcs_set(args: argparse.Namespace, config: ExperimentConfig) -> int:
              "pairwise:"]
     lines += ["  " + " ".join(f"{v:3d}" for v in row)
               for row in stats.pairwise]
-    _emit(args, stats.to_json(), lines)
-    return 0
+    return stats.to_json(), lines
 
 
 def _certificate_lines(cert) -> list[str]:
@@ -99,30 +86,34 @@ def _certificate_lines(cert) -> list[str]:
             f"second: {' '.join(map(str, cert.second))}"]
 
 
-def _cmd_twins(args: argparse.Namespace, config: ExperimentConfig) -> int:
-    word = load_word(args.word)
+def _max_length(args: argparse.Namespace) -> dict:
     # without --max-length each method keeps its own default cap
-    limit = {} if args.max_length is None else {"max_length": args.max_length}
-    if args.method == "oracle":
-        value = lt_oracle(word, **limit)
-        _emit(args, {"value": value, "method": "oracle"},
-              [f"length: {value}"])
-        return 0
-    if args.method == "runs":
-        cert = twins_via_runs(word)
-        _emit(args, cert.to_json(), _certificate_lines(cert))
-        return 0
-    if args.method == "blocks":
-        result = twins_via_blocks(word)
-        lines = _certificate_lines(result.certificate)
-        lines.append(f"block values: {' '.join(map(str, result.block_values))}")
-        lines.append(f"per-block floor: {result.per_block_floor:.4f} "
-                     f"({'met' if result.floor_met else 'missed'})")
-        _emit(args, result.to_json(), lines)
-        return 0
-    cert = lt_exact(word, **limit, budget_nodes=config.budget_nodes)
-    _emit(args, cert.to_json(), _certificate_lines(cert))
-    return 0
+    return {} if args.max_length is None else {"max_length": args.max_length}
+
+
+def _cmd_twins_exact(args: argparse.Namespace, config: ExperimentConfig):
+    cert = lt_exact(load_word(args.word), **_max_length(args),
+                    budget_nodes=config.budget_nodes)
+    return cert.to_json(), _certificate_lines(cert)
+
+
+def _cmd_twins_oracle(args: argparse.Namespace, config: ExperimentConfig):
+    value = lt_oracle(load_word(args.word), **_max_length(args))
+    return {"value": value, "method": "oracle"}, [f"length: {value}"]
+
+
+def _cmd_twins_runs(args: argparse.Namespace, config: ExperimentConfig):
+    cert = twins_via_runs(load_word(args.word))
+    return cert.to_json(), _certificate_lines(cert)
+
+
+def _cmd_twins_blocks(args: argparse.Namespace, config: ExperimentConfig):
+    result = twins_via_blocks(load_word(args.word))
+    lines = _certificate_lines(result.certificate)
+    lines.append(f"block values: {' '.join(map(str, result.block_values))}")
+    lines.append(f"per-block floor: {result.per_block_floor:.4f} "
+                 f"({'met' if result.floor_met else 'missed'})")
+    return result.to_json(), lines
 
 
 def _parse_ms(text: str) -> tuple[int, ...]:
@@ -132,7 +123,7 @@ def _parse_ms(text: str) -> tuple[int, ...]:
         raise ValueError(f"--ms expects comma-separated integers: {exc}")
 
 
-def _cmd_construct(args: argparse.Namespace, config: ExperimentConfig) -> int:
+def _cmd_construct(args: argparse.Namespace, config: ExperimentConfig):
     build = FAMILY_BUILDERS[args.family]
     params = inspect.signature(build).parameters
     kwargs = {k: v for k, v in vars(args).items() if k in params}
@@ -145,74 +136,68 @@ def _cmd_construct(args: argparse.Namespace, config: ExperimentConfig) -> int:
              f"words: {len(out.words)}"]
     lines += [f"  {w.to_text()}" for w in out.words]
     lines.append(f"ceilings: {len(out.ceilings)}")
-    if args.check:
-        report = check_family(out, budget_cells=config.budget_cells,
-                              set_restrict=args.set_restrict)
-        payload["checks"] = [
-            {"ceiling": c.to_json(), "value": v, "ok": ok}
-            for c, v, ok in report]
-        for c, v, ok in report:
-            lines.append(f"  {c.mode}{list(c.indices)} <= {c.bound}: "
-                         f"value {v} {'ok' if ok else 'VIOLATED'}")
-        if not all(ok for _, _, ok in report):
-            _emit(args, payload, lines)
-            return 1
-    else:
+    if not args.check:
         lines += [f"  {c.mode}{list(c.indices)} <= {c.bound}"
                   for c in out.ceilings]
-    _emit(args, payload, lines)
-    return 0
+        return payload, lines
+    report = check_family(out, budget_cells=config.budget_cells,
+                          set_restrict=args.set_restrict)
+    payload["checks"] = [{"ceiling": c.to_json(), "value": v, "ok": ok}
+                         for c, v, ok in report]
+    lines += [f"  {c.mode}{list(c.indices)} <= {c.bound}: "
+              f"value {v} {'ok' if ok else 'VIOLATED'}" for c, v, ok in report]
+    return payload, lines, 0 if all(ok for _, _, ok in report) else 1
 
 
-def _cmd_bound(args: argparse.Namespace, config: ExperimentConfig) -> int:
-    what = args.what
-    if what == "theta":
-        breakdown = theta(args.alpha, args.k)
-        lines = [f"theta({args.alpha}, {args.k}) = {breakdown.value:.9f}",
-                 f"shape: {breakdown.shape_term:.9f}",
-                 f"match: {breakdown.match_term:.9f}",
-                 f"switch: {breakdown.switch_term:.9f}",
-                 f"idle: {breakdown.idle_term:.9f}"]
-        _emit(args, breakdown.to_json(), lines)
-        return 0
-    if what == "threshold":
-        result = alpha_threshold(args.k)
-        if result is None:
-            _emit(args, {"k": args.k, "alpha": None},
-                  [f"k={args.k}: no negative-exponent density "
-                   "(method certifies nothing)"])
-            return 0
-        _emit(args, result.to_json(),
-              [f"alpha: {result.alpha:.9f}",
-               f"theta: {result.theta:.3e}"])
-        return 0
-    if what == "union":
-        value = union_bound(args.k, args.n, args.m)
-        _emit(args, {"k": args.k, "n": args.n, "m": args.m,
-                     "bound": str(value), "float": float(value)},
-              [f"union bound: {value} ~ {float(value):.6g}"])
-        return 0
-    if what == "count":
-        value = role_count(args.n, args.m, args.p, args.z)
-        _emit(args, {"n": args.n, "m": args.m, "p": args.p, "z": args.z,
-                     "count": value},
-              [f"role words: {value}"])
-        return 0
-    if what == "prob":
-        if args.roles is not None:
-            stats = role_stats(parse_roles(args.roles))
-            n, m, p, z = (stats.length, stats.pairs, stats.switches,
-                          stats.leading_zeros)
-        elif None in (args.n, args.m, args.p, args.z):
-            raise ValueError("prob needs --roles or all of --n --m --p --z")
-        else:
-            n, m, p, z = args.n, args.m, args.p, args.z
-        value = role_prob(args.k, n, m, p, z)
-        _emit(args, {"k": args.k, "n": n, "m": m, "p": p, "z": z,
-                     "probability": str(value), "float": float(value)},
-              [f"probability: {value} ~ {float(value):.6g}"])
-        return 0
-    # constants
+def _cmd_bound_theta(args: argparse.Namespace, config: ExperimentConfig):
+    breakdown = theta(args.alpha, args.k)
+    return breakdown.to_json(), [
+        f"theta({args.alpha}, {args.k}) = {breakdown.value:.9f}",
+        f"shape: {breakdown.shape_term:.9f}",
+        f"match: {breakdown.match_term:.9f}",
+        f"switch: {breakdown.switch_term:.9f}",
+        f"idle: {breakdown.idle_term:.9f}"]
+
+
+def _cmd_bound_threshold(args: argparse.Namespace, config: ExperimentConfig):
+    result = alpha_threshold(args.k)
+    if result is None:
+        return {"k": args.k, "alpha": None}, [
+            f"k={args.k}: no negative-exponent density "
+            "(method certifies nothing)"]
+    return result.to_json(), [f"alpha: {result.alpha:.9f}",
+                              f"theta: {result.theta:.3e}"]
+
+
+def _cmd_bound_union(args: argparse.Namespace, config: ExperimentConfig):
+    value = union_bound(args.k, args.n, args.m)
+    return ({"k": args.k, "n": args.n, "m": args.m,
+             "bound": str(value), "float": float(value)},
+            [f"union bound: {value} ~ {float(value):.6g}"])
+
+
+def _cmd_bound_count(args: argparse.Namespace, config: ExperimentConfig):
+    value = role_count(args.n, args.m, args.p, args.z)
+    return ({"n": args.n, "m": args.m, "p": args.p, "z": args.z,
+             "count": value}, [f"role words: {value}"])
+
+
+def _cmd_bound_prob(args: argparse.Namespace, config: ExperimentConfig):
+    if args.roles is not None:
+        stats = role_stats(parse_roles(args.roles))
+        n, m, p, z = (stats.length, stats.pairs, stats.switches,
+                      stats.leading_zeros)
+    elif None in (args.n, args.m, args.p, args.z):
+        raise ValueError("prob needs --roles or all of --n --m --p --z")
+    else:
+        n, m, p, z = args.n, args.m, args.p, args.z
+    value = role_prob(args.k, n, m, p, z)
+    return ({"k": args.k, "n": n, "m": m, "p": p, "z": z,
+             "probability": str(value), "float": float(value)},
+            [f"probability: {value} ~ {float(value):.6g}"])
+
+
+def _cmd_bound_constants(args: argparse.Namespace, config: ExperimentConfig):
     values = lower_bound_values(args.k)
     asymptotic = asymptotic_threshold(args.k)
     payload = {"lower_bounds": values.to_json(),
@@ -228,24 +213,22 @@ def _cmd_bound(args: argparse.Namespace, config: ExperimentConfig) -> int:
              f"asymptotic leading: {asymptotic.leading:.9f}",
              f"asymptotic coarse: {asymptotic.coarse:.9f}",
              f"asymptotic refined: {asymptotic.refined:.9f}"]
-    _emit(args, payload, lines)
-    return 0
+    return payload, lines
 
 
-def _cmd_experiment(args: argparse.Namespace,
-                    config: ExperimentConfig) -> int:
-    if args.experiment == "lt-tail":
-        config = dataclasses.replace(config, trials=args.trials)
-        estimate = estimate_lt_tail(args.k, args.n, args.alpha, config)
-        lines = [f"Pr[LT >= {estimate.pairs}] over [{args.k}]^{args.n}",
-                 f"method: {estimate.method}",
-                 f"probability: {estimate.probability:.6f}",
-                 f"interval: [{estimate.lo:.6f}, {estimate.hi:.6f}]",
-                 f"trials: {estimate.trials}"]
-        if estimate.exact is not None:
-            lines.append(f"exact: {estimate.exact}")
-        _emit(args, estimate.to_json(), lines)
-        return 0
+def _cmd_lt_tail(args: argparse.Namespace, config: ExperimentConfig):
+    estimate = estimate_lt_tail(args.k, args.n, args.alpha, config)
+    lines = [f"Pr[LT >= {estimate.pairs}] over [{args.k}]^{args.n}",
+             f"method: {estimate.method}",
+             f"probability: {estimate.probability:.6f}",
+             f"interval: [{estimate.lo:.6f}, {estimate.hi:.6f}]",
+             f"trials: {estimate.trials}"]
+    if estimate.exact is not None:
+        lines.append(f"exact: {estimate.exact}")
+    return estimate.to_json(), lines
+
+
+def _cmd_conjecture(args: argparse.Namespace, config: ExperimentConfig):
     result = minimize_expected_lcs(args.k, config, starts=args.starts)
     lines = [f"minimum found: {result.value:.9f}",
              f"uniform value: {result.uniform_value:.9f}",
@@ -254,14 +237,12 @@ def _cmd_experiment(args: argparse.Namespace,
     if result.below_conjectured_floor:
         lines.append("BELOW CONJECTURED FLOOR: counterexample candidate; "
                      "inspect the distribution")
-    _emit(args, result.to_json(), lines)
-    return 1 if result.below_conjectured_floor else 0
+    return result.to_json(), lines, int(result.below_conjectured_floor)
 
 
-def _cmd_verify(args: argparse.Namespace, config: ExperimentConfig) -> int:
+def _cmd_verify(args: argparse.Namespace, config: ExperimentConfig):
     report = verify_suite(args.suite, config)
-    _emit(args, report.to_json(), report.summary_lines())
-    return 0 if report.ok else 1
+    return report.to_json(), report.summary_lines(), 0 if report.ok else 1
 
 
 # -- parser -------------------------------------------------------------------
@@ -279,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "chain steps for joint lengths")
     common.add_argument("--budget-nodes", type=int, default=argparse.SUPPRESS,
                         help="cap on twin search states, per searched "
-                        "word; each state keeps about 100-130 bytes of "
+                        "word; each state may leave 110-120 bytes of "
                         "failure memo, so the default can hold about "
                         "0.6 GB")
     common.add_argument("--json", action="store_true",
@@ -295,50 +276,50 @@ def build_parser() -> argparse.ArgumentParser:
                     "and tail bounds.")
     sub = root.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lcs", parents=[common],
-                       help="longest common subsequence of two words")
+    def leaf(parent, name: str, func, **kwargs) -> argparse.ArgumentParser:
+        q = parent.add_parser(name, parents=[common], **kwargs)
+        q.set_defaults(func=func)
+        return q
+
+    p = leaf(sub, "lcs", _cmd_lcs,
+             help="longest common subsequence of two words")
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--no-witness", action="store_true",
                    help="length only, no alignment")
     p.add_argument("--reversible", action="store_true",
                    help="also try the reversed second word")
-    p.set_defaults(func=_cmd_lcs)
 
-    p = sub.add_parser("lcs-set", parents=[common],
-                       help="pairwise table and best joint subsequence")
+    p = leaf(sub, "lcs-set", _cmd_lcs_set,
+             help="pairwise table and best joint subsequence")
     p.add_argument("words", nargs="+")
     p.add_argument("--t", type=int, default=2,
                    help="subset size for the joint value")
-    p.set_defaults(func=_cmd_lcs_set)
 
-    p = sub.add_parser("twins", parents=[common],
-                       help="longest twins of a word")
+    # each method flag stores its own handler; --exact's is the default
+    p = leaf(sub, "twins", _cmd_twins_exact, help="longest twins of a word")
     p.add_argument("word")
     group = p.add_mutually_exclusive_group()
-    group.add_argument("--exact", dest="method", action="store_const",
-                       const="exact",
+    group.add_argument("--exact", dest="func", action="store_const",
+                       const=_cmd_twins_exact,
                        help="target-directed twin search (default)")
-    group.add_argument("--oracle", dest="method", action="store_const",
-                       const="oracle", help="brute enumeration")
-    group.add_argument("--runs", dest="method", action="store_const",
-                       const="runs", help="run-pairing construction")
-    group.add_argument("--blocks", dest="method", action="store_const",
-                       const="blocks", help="blockwise construction")
+    group.add_argument("--oracle", dest="func", action="store_const",
+                       const=_cmd_twins_oracle, help="brute enumeration")
+    group.add_argument("--runs", dest="func", action="store_const",
+                       const=_cmd_twins_runs, help="run-pairing construction")
+    group.add_argument("--blocks", dest="func", action="store_const",
+                       const=_cmd_twins_blocks, help="blockwise construction")
     p.add_argument("--max-length", type=int, default=None,
                    help="longest word the method accepts (default: exact "
                    f"{DEFAULT_EXACT_LENGTH}, oracle {DEFAULT_ORACLE_LENGTH}; "
                    "runs and blocks take any length)")
-    p.set_defaults(func=_cmd_twins, method="exact")
 
     p = sub.add_parser("construct", parents=[common],
                        help="build a low-LCS word family")
-    p.set_defaults(func=_cmd_construct)
     fam = p.add_subparsers(dest="family", required=True)
     for name, build in FAMILY_BUILDERS.items():
-        q = fam.add_parser(
-            name, parents=[common], description=inspect.getdoc(build),
-            formatter_class=argparse.RawDescriptionHelpFormatter)
+        q = leaf(fam, name, _cmd_construct, description=inspect.getdoc(build),
+                 formatter_class=argparse.RawDescriptionHelpFormatter)
         # one option per builder parameter, so the dests are its keywords
         for param in inspect.signature(build).parameters.values():
             required = param.default is param.empty
@@ -355,23 +336,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", parents=[common],
                        help="tail-bound calculus and constants")
-    p.set_defaults(func=_cmd_bound)
     what = p.add_subparsers(dest="what", required=True)
-    q = what.add_parser("theta", parents=[common])
+    q = leaf(what, "theta", _cmd_bound_theta)
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--k", type=int, required=True)
-    q = what.add_parser("threshold", parents=[common])
+    q = leaf(what, "threshold", _cmd_bound_threshold)
     q.add_argument("--k", type=int, required=True)
-    q = what.add_parser("union", parents=[common])
+    q = leaf(what, "union", _cmd_bound_union)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
-    q = what.add_parser("count", parents=[common])
+    q = leaf(what, "count", _cmd_bound_count)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--p", type=int, required=True)
     q.add_argument("--z", type=int, required=True)
-    q = what.add_parser("prob", parents=[common])
+    q = leaf(what, "prob", _cmd_bound_prob)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--roles", type=str, default=None,
                    help="role word; overrides --n/--m/--p/--z")
@@ -379,35 +359,26 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--m", type=int, default=None)
     q.add_argument("--p", type=int, default=None)
     q.add_argument("--z", type=int, default=None)
-    q = what.add_parser("constants", parents=[common])
+    q = leaf(what, "constants", _cmd_bound_constants)
     q.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser("experiment", parents=[common],
                        help="seeded randomized experiments")
-    p.set_defaults(func=_cmd_experiment)
     exp = p.add_subparsers(dest="experiment", required=True)
-    q = exp.add_parser("lt-tail", parents=[common])
+    q = leaf(exp, "lt-tail", _cmd_lt_tail)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--alpha", type=float, required=True)
-    q.add_argument("--trials", type=int, default=ExperimentConfig.trials)
-    q = exp.add_parser("conjecture", parents=[common])
+    q.add_argument("--trials", type=int, default=argparse.SUPPRESS)
+    q = leaf(exp, "conjecture", _cmd_conjecture)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--starts", type=int, default=inspect.signature(
         minimize_expected_lcs).parameters["starts"].default)
 
-    p = sub.add_parser("verify", parents=[common],
-                       help="run a verification suite")
+    p = leaf(sub, "verify", _cmd_verify, help="run a verification suite")
     p.add_argument("suite", choices=SUITES)
-    p.set_defaults(func=_cmd_verify)
 
     return root
-
-
-_GLOBAL_DEFAULTS = (("seed", ExperimentConfig.seed),
-                    ("budget_cells", ExperimentConfig.budget_cells),
-                    ("budget_nodes", ExperimentConfig.budget_nodes),
-                    ("json", False), ("out", None))
 
 
 @cache
@@ -418,17 +389,24 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # global flags use suppressed defaults so any position wins
     args = _parser().parse_args(argv)
-    # global flags use suppressed defaults so any position wins; fill the rest
-    for dest, value in _GLOBAL_DEFAULTS:
-        if not hasattr(args, dest):
-            setattr(args, dest, value)
+    given = vars(args)
+    fields = inspect.signature(ExperimentConfig).parameters
     try:
-        # rejects a bad seed or budget on every command
-        config = ExperimentConfig(seed=args.seed,
-                                  budget_nodes=args.budget_nodes,
-                                  budget_cells=args.budget_cells)
-        return args.func(args, config)
+        # rejects a bad seed, trial count or budget on every command
+        config = ExperimentConfig(**{k: v for k, v in given.items()
+                                     if k in fields})
+        payload, lines, *code = args.func(args, config)
+        if given.get("json"):
+            lines = [json.dumps({"schema_version": SCHEMA_VERSION, **payload},
+                                indent=2, sort_keys=True, default=str)]
+        body = "\n".join(lines) + "\n"
+        if given.get("out"):
+            Path(given["out"]).write_text(body, encoding="utf-8")
+        else:
+            sys.stdout.write(body)
+        return code[0] if code else 0
     except (ValueError, OSError) as exc:  # bad input, unusable file
         print(f"error: {exc}", file=sys.stderr)
         return 2

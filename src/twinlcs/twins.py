@@ -170,13 +170,15 @@ class RoleStats(Record):
 
 
 def role_stats(roles: Roles) -> RoleStats:
-    """Pairs, switch count and leading-zero count of a role word."""
+    """Pairs, switch count and leading-zero count of a role word; raises
+    InvalidCertificateError on a digit outside {0, 1, 2} or unbalanced
+    counts."""
     ones = twos = 0
     switches = 0
     leading = 0
     last_nonzero = 0
     in_prefix = True
-    for r in roles:
+    for i, r in enumerate(roles):
         if r == 0:
             if in_prefix:
                 leading += 1
@@ -186,8 +188,10 @@ def role_stats(roles: Roles) -> RoleStats:
             ones += 1
             if last_nonzero == 2:
                 switches += 1
-        else:
+        elif r == 2:
             twos += 1
+        else:
+            raise InvalidCertificateError(f"role at position {i} is {r}")
         last_nonzero = r
     if ones != twos:
         raise InvalidCertificateError(

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from twinlcs.cli import _GLOBAL_DEFAULTS, build_parser, load_word, main
+from twinlcs.cli import build_parser, load_word, main
 from twinlcs.constructions import FAMILY_BUILDERS
 from twinlcs.experiments import ExperimentConfig
 from twinlcs.lcs import DEFAULT_BUDGET_CELLS
@@ -46,11 +46,18 @@ def test_lcs_json_envelope(capsys):
     assert doc["length"] == 3
 
 
-def test_global_flags_after_subcommand(capsys):
-    code_a, out_a, _ = run(capsys, "--json", "lcs", "1212", "2121")
-    code_b, out_b, _ = run(capsys, "lcs", "1212", "2121", "--json")
+@pytest.mark.parametrize("flag",
+                         ["--seed", "--budget-cells", "--budget-nodes"])
+def test_global_flags_after_subcommand(capsys, flag):
+    argv = ("experiment", "conjecture", "--k", "2", "--starts", "1")
+    code_a, out_a, _ = run(capsys, "--json", flag, "777", *argv)
+    code_b, out_b, _ = run(capsys, *argv, flag, "777", "--json")
     assert code_a == code_b == 0
     assert out_a == out_b
+    # the flag given is set; the rest keep ExperimentConfig's defaults
+    dest = flag[2:].replace("-", "_")
+    assert json.loads(out_a)["config"] == {**ExperimentConfig().to_json(),
+                                           dest: 777}
 
 
 def test_out_writes_file(tmp_path, capsys):
@@ -378,8 +385,8 @@ def test_construct_set_restrict_below_one_exits_2(capsys, cap):
 
 
 def _subparsers(parser):
-    return next(action.choices for action in parser._actions
-                if isinstance(action, argparse._SubParsersAction))
+    return next((action.choices for action in parser._actions
+                 if isinstance(action, argparse._SubParsersAction)), {})
 
 
 def test_construct_subcommands_are_the_registry(capsys):
@@ -390,7 +397,8 @@ def test_construct_subcommands_are_the_registry(capsys):
     # each family's options are its builder's parameters, with their
     # defaults, and its help shows the builder's docstring
     families = _subparsers(_subparsers(build_parser())["construct"])
-    shared = {"help", "check", "set_restrict", *dict(_GLOBAL_DEFAULTS)}
+    shared = {"help", "check", "set_restrict",
+              "seed", "budget_cells", "budget_nodes", "json", "out"}
     for name, build in FAMILY_BUILDERS.items():
         params = inspect.signature(build).parameters.values()
         expected = {p.name: (p.default is p.empty,
@@ -506,6 +514,8 @@ def test_experiment_lt_tail_seeded_json(capsys):
     (("lt-tail", "--k", "3", "--n", "10", "--alpha", "0.4", "--trials", "5"),
      5),
     (("conjecture", "--k", "2", "--starts", "3"), 1000),
+    (("lt-tail", "--trials", "6", "--k", "3", "--n", "10", "--alpha", "0.4"),
+     6),
 ])
 def test_experiment_json_config_has_four_keys(capsys, argv, trials):
     code, out, _ = run(capsys, "--json", "--seed", "7", "experiment", *argv)
@@ -515,18 +525,32 @@ def test_experiment_json_config_has_four_keys(capsys, argv, trials):
         "budget_cells": DEFAULT_BUDGET_CELLS}
 
 
-def test_parser_defaults_come_from_their_sources():
-    config = ExperimentConfig()
-    assert dict(_GLOBAL_DEFAULTS) == {
-        "seed": config.seed, "budget_cells": config.budget_cells,
-        "budget_nodes": config.budget_nodes, "json": False, "out": None}
-    parser = build_parser()
-    tail = parser.parse_args(["experiment", "lt-tail", "--k", "2", "--n", "4",
-                              "--alpha", "0.5"])
-    assert tail.trials == config.trials
-    conjecture = parser.parse_args(["experiment", "conjecture", "--k", "2"])
-    assert conjecture.starts == inspect.signature(
-        minimize_expected_lcs).parameters["starts"].default
+def _leaves(parser, path=()):
+    """(command words, parser) for every leaf of a parser tree."""
+    children = _subparsers(parser)
+    if not children:
+        yield path, parser
+    for name, child in children.items():
+        yield from _leaves(child, path + (name,))
+
+
+def test_each_leaf_names_its_own_handler():
+    handlers = {}
+    for path, leaf in _leaves(build_parser()):
+        methods = [a for a in leaf._actions if a.dest == "func"]
+        for action in methods:  # the twins method flags
+            handlers[path + (action.option_strings[0],)] = action.const
+        if methods:
+            assert leaf.get_default("func") is handlers[path + ("--exact",)]
+        else:
+            handlers[path] = leaf.get_default("func")
+    assert len(handlers) == 15 + len(FAMILY_BUILDERS)
+    assert all(callable(h) for h in handlers.values())
+    # only the construct families share a handler, which reads the family
+    construct = {h for path, h in handlers.items() if path[0] == "construct"}
+    others = [h for path, h in handlers.items() if path[0] != "construct"]
+    assert len(construct) == 1
+    assert len(set(others)) == len(others) and construct.isdisjoint(others)
 
 
 def test_experiment_conjecture(capsys):
@@ -534,6 +558,12 @@ def test_experiment_conjecture(capsys):
                        "--starts", "5")
     assert code == 0
     assert "minimum found: 1.500000000" in out
+    # without --starts the search takes minimize_expected_lcs's default
+    starts = inspect.signature(
+        minimize_expected_lcs).parameters["starts"].default
+    code, out, _ = run(capsys, "experiment", "conjecture", "--k", "2")
+    assert code == 0
+    assert f"starts: {starts} (best: 0)" in out
 
 
 # -- verify ------------------------------------------------------------------------

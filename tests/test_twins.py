@@ -96,6 +96,9 @@ def test_role_stats():
     assert role_stats(()).pairs == 0
     with pytest.raises(InvalidCertificateError):
         role_stats((1, 1, 2))
+    # a digit other than 0, 1 and 2 is not a role, as in extract
+    with pytest.raises(InvalidCertificateError, match="position 1 is 3"):
+        role_stats((0, 3, 1))
 
 
 def test_exact_search_recursion_is_one_frame_per_position():

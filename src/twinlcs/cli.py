@@ -27,7 +27,7 @@ from .constructions import FAMILY_BUILDERS, check_family
 from .errors import BudgetError
 from .experiments import SCHEMA_VERSION, ExperimentConfig, estimate_lt_tail
 from .lcs import lcs_pair, lcs_reversible, set_lcs_stats
-from .perm import minimize_expected_lcs
+from .perm import MAX_TABLE_K, minimize_expected_lcs
 from .twins import (DEFAULT_EXACT_LENGTH, DEFAULT_ORACLE_LENGTH, lt_exact,
                     lt_oracle, parse_roles, role_stats, roles_to_text,
                     twins_via_blocks, twins_via_runs)
@@ -370,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--alpha", type=float, required=True)
     q.add_argument("--trials", type=int, default=argparse.SUPPRESS)
-    q = leaf(exp, "conjecture", _cmd_conjecture)
+    q = leaf(exp, "conjecture", _cmd_conjecture, help="minimize E[LCS]; "
+             f"reads only --seed and --starts; one cap, k <= {MAX_TABLE_K}")
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--starts", type=int, default=inspect.signature(
         minimize_expected_lcs).parameters["starts"].default)

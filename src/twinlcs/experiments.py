@@ -17,7 +17,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DEFAULT_BUDGET_CELLS, Record
-from .twins import DEFAULT_EXACT_LENGTH, DEFAULT_NODE_BUDGET, _TwinSearch
+from .twins import DEFAULT_NODE_BUDGET, _check_length, _TwinSearch
 from .words import Word
 
 SCHEMA_VERSION = 1
@@ -177,9 +177,7 @@ def estimate_lt_tail(k: int, n: int, alpha: float,
     if m == 0:
         return TailEstimate(k, n, alpha, 0, 1.0, 1.0, 1.0, 0, 0, "exact",
                             Fraction(1), config)
-    if n > DEFAULT_EXACT_LENGTH:
-        raise ValueError(f"exact search supports length <= "
-                         f"{DEFAULT_EXACT_LENGTH}, got {n}")
+    _check_length(n)
     exhaustive = k ** n <= EXHAUSTIVE_CAP
     if exhaustive:
         trials, hits = k ** n, 0

@@ -240,7 +240,8 @@ def minimize_expected_lcs(k: int,
     from per-start substreams.  Each sweep screens every pair, in one
     array step per row and one more per applied move: at k = 5 a start
     takes about 0.02 s of CPU and the default 100 starts about 2 s (one
-    core of a 2-core Xeon VM, Python 3.11, numpy 2.4).
+    core of a 2-core Xeon VM, Python 3.11, numpy 2.4).  It reads only
+    ``config.seed``, not the budgets; its one cap is k <= MAX_TABLE_K (6).
     """
     config = config or ExperimentConfig()
     if starts < 1:

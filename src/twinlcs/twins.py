@@ -30,8 +30,10 @@ attention to monotone role words never changes the value.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,17 +66,32 @@ def roles_to_text(roles: Roles) -> str:
     return "".join(str(r) for r in roles)
 
 
-def is_monotone(roles: Roles) -> bool:
-    """True when the role word is balanced and no prefix has more 2s than 1s."""
-    ones = twos = 0
-    for r in roles:
+def _marked(roles: Roles) -> tuple[list[int], list[int]]:
+    """The 1-positions and the 2-positions of a role word; raises
+    InvalidCertificateError at a digit outside {0, 1, 2}, then on unequal
+    counts."""
+    first, second = [], []
+    for i, r in enumerate(roles):
         if r == 1:
-            ones += 1
+            first.append(i)
         elif r == 2:
-            twos += 1
-            if twos > ones:
-                return False
-    return ones == twos
+            second.append(i)
+        elif r != 0:
+            raise InvalidCertificateError(f"role at position {i} is {r}")
+    if len(first) != len(second):
+        raise InvalidCertificateError(
+            f"unbalanced roles: {len(first)} ones vs {len(second)} twos")
+    return first, second
+
+
+def is_monotone(roles: Roles) -> bool:
+    """True when the role word is balanced and no prefix has more 2s than
+    1s, that is, when the i-th 1 comes before the i-th 2."""
+    try:
+        first, second = _marked(roles)
+    except InvalidCertificateError:
+        return False
+    return all(map(operator.lt, first, second))
 
 
 @dataclass(frozen=True)
@@ -92,7 +109,7 @@ class TwinCertificate:
 
     @property
     def is_monotone(self) -> bool:
-        return is_monotone(self.roles)
+        return all(map(operator.lt, self.first, self.second))
 
     def twin_word(self) -> Word:
         """The common word spelled by either marked subsequence."""
@@ -121,18 +138,7 @@ def extract(word: Word, roles: Roles) -> TwinCertificate:
     if len(roles) != len(word):
         raise InvalidCertificateError(
             f"role word length {len(roles)} != word length {len(word)}")
-    first = []
-    second = []
-    for i, r in enumerate(roles):
-        if r == 1:
-            first.append(i)
-        elif r == 2:
-            second.append(i)
-        elif r != 0:
-            raise InvalidCertificateError(f"role at position {i} is {r}")
-    if len(first) != len(second):
-        raise InvalidCertificateError(
-            f"unbalanced roles: {len(first)} ones vs {len(second)} twos")
+    first, second = _marked(roles)
     for a, b in zip(first, second):
         if word[a] != word[b]:
             raise InvalidCertificateError(
@@ -171,32 +177,13 @@ class RoleStats(Record):
 
 def role_stats(roles: Roles) -> RoleStats:
     """Pairs, switch count and leading-zero count of a role word; raises
-    InvalidCertificateError on a digit outside {0, 1, 2} or unbalanced
-    counts."""
-    ones = twos = 0
-    switches = 0
-    leading = 0
-    last_nonzero = 0
-    in_prefix = True
-    for i, r in enumerate(roles):
-        if r == 0:
-            if in_prefix:
-                leading += 1
-            continue
-        in_prefix = False
-        if r == 1:
-            ones += 1
-            if last_nonzero == 2:
-                switches += 1
-        elif r == 2:
-            twos += 1
-        else:
-            raise InvalidCertificateError(f"role at position {i} is {r}")
-        last_nonzero = r
-    if ones != twos:
-        raise InvalidCertificateError(
-            f"unbalanced roles: {ones} ones vs {twos} twos")
-    return RoleStats(len(roles), ones, switches, leading)
+    InvalidCertificateError as ``_marked`` does.  The 2s after exactly d
+    1s form a block, so each such d < pairs makes the (d+1)-th 1 a switch."""
+    first, second = _marked(roles)
+    switches = len(set(map(bisect.bisect_left, itertools.repeat(first),
+                           second)) - {len(first)})
+    leading = min(first[0], second[0]) if first else len(roles)
+    return RoleStats(len(roles), len(first), switches, leading)
 
 
 # -- monotonization and regularity ------------------------------------------
@@ -212,13 +199,8 @@ def monotonize(cert: TwinCertificate) -> TwinCertificate:
     """
     roles = [0] * len(cert.word)
     for a, b in zip(cert.first, cert.second):
-        lo, hi = (a, b) if a < b else (b, a)
-        roles[lo] = 1
-        roles[hi] = 2
-    out = extract(cert.word, tuple(roles))
-    if not out.is_monotone:
-        raise AssertionError("monotonization produced a non-monotone word")
-    return out
+        roles[min(a, b)], roles[max(a, b)] = 1, 2
+    return extract(cert.word, tuple(roles))
 
 
 @dataclass(frozen=True)
@@ -412,6 +394,13 @@ class _TwinSearch:
         return None
 
 
+def _check_length(n: int, cap: int = DEFAULT_EXACT_LENGTH,
+                  route: str = "exact search") -> None:
+    """Raise ValueError when a word of length n is over a route's cap."""
+    if n > cap:
+        raise ValueError(f"{route} supports length <= {cap}, got {n}")
+
+
 def lt_exact(word: Word, *, max_length: int = DEFAULT_EXACT_LENGTH,
              budget_nodes: int = DEFAULT_NODE_BUDGET) -> TwinCertificate:
     """Maximum-length twins with the lexicographically smallest monotone
@@ -426,9 +415,7 @@ def lt_exact(word: Word, *, max_length: int = DEFAULT_EXACT_LENGTH,
     110-120 bytes in the memo, so the default can hold about 0.6 GB
     before that.
     """
-    if len(word) > max_length:
-        raise ValueError(
-            f"exact search supports length <= {max_length}, got {len(word)}")
+    _check_length(len(word), max_length)
     search = _TwinSearch(word, budget_nodes)
     best = search.find(search.root_slack)
     if best is None:
@@ -594,10 +581,7 @@ def lt_oracle(word: Word, *, max_length: int = DEFAULT_ORACLE_LENGTH) -> int:
     of the search by design.  Raises ValueError past ``max_length`` and
     BudgetError when a role table would exceed ``DEFAULT_BUDGET_CELLS``.
     """
-    n = len(word)
-    if n > max_length:
-        raise ValueError(
-            f"oracle enumeration supports length <= {max_length}, got {n}")
+    _check_length(len(word), max_length, "oracle enumeration")
     return int(_oracle_lengths(np.array([word.letters]))[0])
 
 

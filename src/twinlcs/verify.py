@@ -24,10 +24,10 @@ from .constructions import (FAMILY_BUILDERS, check_family, cube_quadruple,
                             stratified_family, tuplet_family)
 from .errors import Record
 from .experiments import ExperimentConfig, sample_word, substream
-from .twins import (_oracle_lengths, find_regularity_violation, is_monotone,
-                    is_regular_pair, is_twin_roles, lt_exact, parse_roles,
-                    random_monotone_certificate, regularize, role_stats,
-                    run_count, twins_via_blocks, twins_via_runs)
+from .twins import (_marked, _oracle_lengths, find_regularity_violation,
+                    is_monotone, is_regular_pair, is_twin_roles, lt_exact,
+                    parse_roles, random_monotone_certificate, regularize,
+                    role_stats, run_count, twins_via_blocks, twins_via_runs)
 from .words import Word
 
 
@@ -151,9 +151,8 @@ def _suite_roles(config: ExperimentConfig) -> list[CheckResult]:
         assert prob == Fraction(1, 512), prob
         # only words whose letters agree on every (first, second) pair
         # are twins under these roles; just those become a Word
-        first, second = (
-            operator.itemgetter(*(i for i, r in enumerate(roles) if r == side))
-            for side in (1, 2))
+        first, second = (operator.itemgetter(*side)
+                         for side in _marked(roles))
         hits = sum(is_regular_pair(Word(letters, 2), roles)
                    for letters in itertools.product((1, 2), repeat=12)
                    if first(letters) == second(letters))
@@ -180,25 +179,22 @@ def _suite_roles(config: ExperimentConfig) -> list[CheckResult]:
 
 
 def _suite_twins_oracle(config: ExperimentConfig) -> list[CheckResult]:
-    def exhaustive_binary() -> str:
-        count = 0
-        for n in range(1, 11):
-            batch = list(itertools.product((1, 2), repeat=n))
-            oracles = _oracle_lengths(np.array(batch)).tolist()
-            for letters, oracle in zip(batch, oracles):
-                word = Word(letters, 2)
-                exact = lt_exact(word).length
-                assert exact == oracle, (word.to_compact(), exact, oracle)
-                count += 1
-        return f"{count} binary words agree"
-
-    def random_ternary() -> str:
-        words = [sample_word(3, 9, config.seed, index=index)
-                 for index in range(150)]
+    def agree(words: list[Word]) -> int:
         oracles = _oracle_lengths(np.array([w.letters for w in words]))
         for word, oracle in zip(words, oracles.tolist()):
             exact = lt_exact(word).length
             assert exact == oracle, (word.to_compact(), exact, oracle)
+        return len(words)
+
+    def exhaustive_binary() -> str:
+        count = sum(agree([Word(letters, 2) for letters
+                           in itertools.product((1, 2), repeat=n)])
+                    for n in range(1, 11))
+        return f"{count} binary words agree"
+
+    def random_ternary() -> str:
+        agree([sample_word(3, 9, config.seed, index=index)
+               for index in range(150)])
         return "150 random ternary words agree"
 
     def run_floor() -> str:

@@ -352,6 +352,48 @@ def role_census(n: int) -> Counter:
     return census
 
 
+def role_stats_reference(roles: Sequence[int], error: type = ValueError
+                         ) -> tuple[int, int, int, int]:
+    """(length, pairs, switches, leading zeros) of a role word in one pass.
+
+    Raises ``error`` at the first digit outside {0, 1, 2}, then when the
+    counts of 1s and 2s differ, with the package's messages.
+    """
+    ones = twos = 0
+    switches = 0
+    leading = 0
+    last_nonzero = 0
+    in_prefix = True
+    for i, r in enumerate(roles):
+        if r == 0:
+            if in_prefix:
+                leading += 1
+            continue
+        in_prefix = False
+        if r == 1:
+            ones += 1
+            if last_nonzero == 2:
+                switches += 1
+        elif r == 2:
+            twos += 1
+        else:
+            raise error(f"role at position {i} is {r}")
+        last_nonzero = r
+    if ones != twos:
+        raise error(f"unbalanced roles: {ones} ones vs {twos} twos")
+    return len(roles), ones, switches, leading
+
+
+def is_monotone_reference(roles: Sequence[int]) -> bool:
+    """Every digit is 0, 1 or 2, and every prefix holds at least as many
+    1s as 2s, the whole word exactly as many."""
+    roles = tuple(roles)
+    prefixes = [roles[:i] for i in range(len(roles) + 1)]
+    return (set(roles) <= {0, 1, 2}
+            and all(p.count(2) <= p.count(1) for p in prefixes)
+            and roles.count(1) == roles.count(2))
+
+
 # -- exponent density in high precision ---------------------------------------
 
 

@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 
 from oracles import (ReferenceTwinSearch, SearchBudgetExceeded,
                      blockwise_roles, brute_lcs, brute_twins,
-                     lexmin_monotone_roles, monotone_role_words)
+                     is_monotone_reference, lexmin_monotone_roles,
+                     monotone_role_words, role_stats_reference)
 from twinlcs import (
     BudgetError,
     InvalidCertificateError,
     Word,
+    estimate_lt_tail,
     extract,
     find_regularity_violation,
     is_monotone,
@@ -68,6 +70,7 @@ def test_is_monotone():
     assert is_monotone(())
     assert not is_monotone((2, 1))       # prefix has more 2s
     assert not is_monotone((1, 1, 2))    # unbalanced
+    assert not is_monotone((1, 3, 2))    # 3 is not a role
 
 
 def test_extract_and_validity():
@@ -99,6 +102,35 @@ def test_role_stats():
     # a digit other than 0, 1 and 2 is not a role, as in extract
     with pytest.raises(InvalidCertificateError, match="position 1 is 3"):
         role_stats((0, 3, 1))
+
+
+def test_role_word_reader_matches_references():
+    # every role word with digits 0-3 up to length 7, 21,845 in all; extract
+    # reads each against the all-1 word of its length, so only the role
+    # word itself can be at fault
+    def outcome(fn, *args):
+        try:
+            return fn(*args), None
+        except Exception as exc:
+            return None, (type(exc), str(exc))
+
+    for n in range(8):
+        word = Word((1,) * n, 1)
+        for roles in itertools.product(range(4), repeat=n):
+            expected, error = outcome(role_stats_reference, roles,
+                                      InvalidCertificateError)
+            stats, stats_error = outcome(role_stats, roles)
+            cert, cert_error = outcome(extract, word, roles)
+            assert stats_error == cert_error == error, roles
+            if error is None:
+                assert (stats.length, stats.pairs, stats.switches,
+                        stats.leading_zeros) == expected, roles
+                assert cert.first == tuple(
+                    i for i, r in enumerate(roles) if r == 1), roles
+                assert cert.second == tuple(
+                    i for i, r in enumerate(roles) if r == 2), roles
+                assert cert.is_monotone == is_monotone_reference(roles)
+            assert is_monotone(roles) == is_monotone_reference(roles), roles
 
 
 def test_exact_search_recursion_is_one_frame_per_position():
@@ -199,6 +231,20 @@ def test_length_guards_and_budget():
         lt_exact(Word((1,) * 61, 2))
     with pytest.raises(BudgetError):
         lt_exact(Word(tuple(sample_word(4, 36, 5).letters), 4), budget_nodes=50)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lt_exact(Word((1,) * 61, 2)),
+     "exact search supports length <= 60, got 61"),
+    (lambda: lt_oracle(Word((1,) * 15, 2)),
+     "oracle enumeration supports length <= 14, got 15"),
+    (lambda: estimate_lt_tail(2, 61, 0.5),
+     "exact search supports length <= 60, got 61"),
+], ids=["lt_exact", "lt_oracle", "estimate_lt_tail"])
+def test_length_cap_messages(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_minimal_certificate_matches_unpruned_oracle_exhaustive_ternary():

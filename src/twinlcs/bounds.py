@@ -157,6 +157,26 @@ def role_count(n: int, pairs: int, switches: int, leading_zeros: int) -> int:
             * math.comb(pairs, switches) ** 2)
 
 
+# The exact rationals of role_prob and union_bound are charged against
+# DEFAULT_BUDGET_CELLS before they are formed, in cells as is_regular's
+# checks are (words._CHECK_CELLS).  Their numbers have up to B = n times
+# the bit length of k bits (the size of k^n), and the work grows with B^2:
+# role_prob took 0.011-0.021 ps per B^2 in calls of 1-2 s, and one summand
+# of union_bound 0.27-2.33 ps (k from 2 to 10^30, n up to 12,000), against
+# 41-77 ns a cell of lcs_multi, one core of a 2-core Xeon VM, Python 3.11.
+# A cell pays for this many squared bits:
+_PROB_BITS2 = 2_000_000
+_SUMMAND_BITS2 = 20_000
+
+
+def _check_rational_work(what: str, k: int, n: int, summands: int,
+                         bits2_per_cell: int) -> None:
+    bits = n * k.bit_length()
+    check_budget(summands * bits * bits // bits2_per_cell,
+                 DEFAULT_BUDGET_CELLS, what,
+                 unit=f"cells ({bits2_per_cell} squared bits each)")
+
+
 def role_prob(k: int, n: int, pairs: int, switches: int,
               leading_zeros: int) -> Fraction:
     """Probability that a uniform word of length n over [k] realizes a
@@ -164,13 +184,15 @@ def role_prob(k: int, n: int, pairs: int, switches: int,
 
     Each of the m pairs matches with probability 1/k; each switch and
     each idle position after the leading zeros must avoid one earlier
-    letter, each an independent factor (1 - 1/k).
+    letter, each an independent factor (1 - 1/k).  Charged against
+    ``DEFAULT_BUDGET_CELLS`` first (see _PROB_BITS2); over it, BudgetError.
     """
     if k < 1:
         raise ValueError(f"alphabet size must be >= 1, got {k}")
     if not (0 <= 2 * pairs <= n and 0 <= switches <= pairs
             and 0 <= leading_zeros <= n - 2 * pairs):
         raise ValueError("role statistics out of range")
+    _check_rational_work("role_prob", k, n, 1, _PROB_BITS2)
     free = switches + n - 2 * pairs - leading_zeros
     return Fraction(1, k) ** pairs * Fraction(k - 1, k) ** free
 
@@ -183,7 +205,9 @@ def union_bound(k: int, n: int, pairs: int) -> Fraction:
     Sound because a word with twins of length m has a lexicographically
     minimal monotone certificate with exactly m pairs, that certificate
     is regular, and the count-weighted sum dominates the union over all
-    regular role words.
+    regular role words.  The n - pairs + 2 summands are charged against
+    ``DEFAULT_BUDGET_CELLS`` first (see _SUMMAND_BITS2); over it,
+    BudgetError.
     """
     if k < 1:
         raise ValueError(f"alphabet size must be >= 1, got {k}")
@@ -191,6 +215,7 @@ def union_bound(k: int, n: int, pairs: int) -> Fraction:
         raise ValueError("length and pair count must be nonnegative")
     if 2 * pairs > n:
         return Fraction(0)
+    _check_rational_work("union_bound", k, n, n - pairs + 2, _SUMMAND_BITS2)
     # the summand factors into a switch part and a leading-zero part
     q = Fraction(k - 1, k)
     switch_sum = sum(math.comb(pairs, p) ** 2 * q ** p

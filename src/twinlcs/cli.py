@@ -2,9 +2,11 @@
 tail bounds, seeded experiments, and verification suites.
 
 Words are accepted inline (full ``k=2;w=1,2,1`` form or compact digits)
-or from a file via ``@path``.  Global flags may appear before or after
-the subcommand.  Argparse picks the handler: each leaf command, and each
-twin method flag, stores its own in ``func``.  A handler returns its JSON
+or from a file via ``@path``.  ``--json`` and ``--out`` may appear
+before or after the subcommand; each leaf command takes, after its name,
+a flag for just the ExperimentConfig settings its handler reads.
+Argparse picks the handler: each leaf command, and each twin method
+flag, stores its own in ``func``.  A handler returns its JSON
 payload and text lines; ``main`` alone builds the ExperimentConfig and
 writes the output.  With ``--json`` every command emits one JSON document
 carrying a schema_version field; ``--out`` redirects output to a file.
@@ -248,40 +250,48 @@ def _cmd_verify(args: argparse.Namespace, config: ExperimentConfig):
 # -- parser -------------------------------------------------------------------
 
 
+# the ExperimentConfig fields a command may read, each with its flag's help
+_SETTINGS = {
+    "seed": "master seed for randomized work "
+            f"(default {ExperimentConfig.seed})",
+    "trials": "sampled words when the tail is not enumerated "
+              f"(default {ExperimentConfig.trials})",
+    "budget_nodes": "cap on twin search states, per searched word; each "
+                    "state may leave 110-120 bytes of failure memo, so the "
+                    "default can hold about 0.6 GB",
+    "budget_cells": "cap on LCS work: a pair witness keeps m+1 bit rows and "
+                    "is charged (n+1)(m+1) cells; three or more words are "
+                    "charged dense table cells, or chain steps for joint "
+                    "lengths",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="master seed for randomized work "
-                        f"(default {ExperimentConfig.seed})")
-    common.add_argument("--budget-cells", type=int, default=argparse.SUPPRESS,
-                        help="cap on LCS work: a pair witness keeps m+1 "
-                        "bit rows and is charged (n+1)(m+1) cells; three "
-                        "or more words are charged dense table cells, or "
-                        "chain steps for joint lengths")
-    common.add_argument("--budget-nodes", type=int, default=argparse.SUPPRESS,
-                        help="cap on twin search states, per searched "
-                        "word; each state may leave 110-120 bytes of "
-                        "failure memo, so the default can hold about "
-                        "0.6 GB")
-    common.add_argument("--json", action="store_true",
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--json", action="store_true",
                         default=argparse.SUPPRESS,
                         help="emit one JSON document")
-    common.add_argument("--out", type=str, default=argparse.SUPPRESS,
+    output.add_argument("--out", type=str, default=argparse.SUPPRESS,
                         help="write output to this file")
 
     root = argparse.ArgumentParser(
         prog="twinlcs",
-        parents=[common],
+        parents=[output],
         description="Twins, common subsequences, permutation families, "
                     "and tail bounds.")
     sub = root.add_subparsers(dest="command", required=True)
 
-    def leaf(parent, name: str, func, **kwargs) -> argparse.ArgumentParser:
-        q = parent.add_parser(name, parents=[common], **kwargs)
+    def leaf(parent, name: str, func, *settings: str,
+             **kwargs) -> argparse.ArgumentParser:
+        """A command with one flag per setting its handler reads."""
+        q = parent.add_parser(name, parents=[output], **kwargs)
+        for field in settings:
+            q.add_argument("--" + field.replace("_", "-"), type=int,
+                           default=argparse.SUPPRESS, help=_SETTINGS[field])
         q.set_defaults(func=func)
         return q
 
-    p = leaf(sub, "lcs", _cmd_lcs,
+    p = leaf(sub, "lcs", _cmd_lcs, "budget_cells",
              help="longest common subsequence of two words")
     p.add_argument("first")
     p.add_argument("second")
@@ -290,14 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reversible", action="store_true",
                    help="also try the reversed second word")
 
-    p = leaf(sub, "lcs-set", _cmd_lcs_set,
+    p = leaf(sub, "lcs-set", _cmd_lcs_set, "budget_cells",
              help="pairwise table and best joint subsequence")
     p.add_argument("words", nargs="+")
     p.add_argument("--t", type=int, default=2,
                    help="subset size for the joint value")
 
     # each method flag stores its own handler; --exact's is the default
-    p = leaf(sub, "twins", _cmd_twins_exact, help="longest twins of a word")
+    p = leaf(sub, "twins", _cmd_twins_exact, "budget_nodes",
+             help="longest twins of a word")
     p.add_argument("word")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exact", dest="func", action="store_const",
@@ -314,11 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
                    f"{DEFAULT_EXACT_LENGTH}, oracle {DEFAULT_ORACLE_LENGTH}; "
                    "runs and blocks take any length)")
 
-    p = sub.add_parser("construct", parents=[common],
+    p = sub.add_parser("construct", parents=[output],
                        help="build a low-LCS word family")
     fam = p.add_subparsers(dest="family", required=True)
     for name, build in FAMILY_BUILDERS.items():
-        q = leaf(fam, name, _cmd_construct, description=inspect.getdoc(build),
+        q = leaf(fam, name, _cmd_construct, "budget_cells",
+                 description=inspect.getdoc(build),
                  formatter_class=argparse.RawDescriptionHelpFormatter)
         # one option per builder parameter, so the dests are its keywords
         for param in inspect.signature(build).parameters.values():
@@ -334,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--set-restrict", type=int, default=None,
                        help="restrict alphabet before joint-LCS checks")
 
-    p = sub.add_parser("bound", parents=[common],
+    p = sub.add_parser("bound", parents=[output],
                        help="tail-bound calculus and constants")
     what = p.add_subparsers(dest="what", required=True)
     q = leaf(what, "theta", _cmd_bound_theta)
@@ -362,21 +374,22 @@ def build_parser() -> argparse.ArgumentParser:
     q = leaf(what, "constants", _cmd_bound_constants)
     q.add_argument("--k", type=int, required=True)
 
-    p = sub.add_parser("experiment", parents=[common],
+    p = sub.add_parser("experiment", parents=[output],
                        help="seeded randomized experiments")
     exp = p.add_subparsers(dest="experiment", required=True)
-    q = leaf(exp, "lt-tail", _cmd_lt_tail)
+    q = leaf(exp, "lt-tail", _cmd_lt_tail, "seed", "trials",
+             "budget_nodes")
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--alpha", type=float, required=True)
-    q.add_argument("--trials", type=int, default=argparse.SUPPRESS)
-    q = leaf(exp, "conjecture", _cmd_conjecture, help="minimize E[LCS]; "
-             f"reads only --seed and --starts; one cap, k <= {MAX_TABLE_K}")
+    q = leaf(exp, "conjecture", _cmd_conjecture, "seed",
+             help=f"minimize E[LCS]; one cap, k <= {MAX_TABLE_K}")
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--starts", type=int, default=inspect.signature(
         minimize_expected_lcs).parameters["starts"].default)
 
-    p = leaf(sub, "verify", _cmd_verify, help="run a verification suite")
+    p = leaf(sub, "verify", _cmd_verify, "seed", "budget_cells",
+             help="run a verification suite")
     p.add_argument("suite", choices=SUITES)
 
     return root
@@ -390,12 +403,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    # global flags use suppressed defaults so any position wins
+    # flags use suppressed defaults, so --json and --out win in any
+    # position and only the settings given reach ExperimentConfig
     args = _parser().parse_args(argv)
     given = vars(args)
     fields = inspect.signature(ExperimentConfig).parameters
     try:
         # rejects a bad seed, trial count or budget on every command
+        # that takes one
         config = ExperimentConfig(**{k: v for k, v in given.items()
                                      if k in fields})
         payload, lines, *code = args.func(args, config)
@@ -408,7 +423,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         else:
             sys.stdout.write(body)
         return code[0] if code else 0
-    except (ValueError, OSError) as exc:  # bad input, unusable file
+    # bad input, including a number too large for a float; unusable file
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetError as exc:

@@ -286,6 +286,12 @@ def tuplet_family(t: int, kappa: int) -> FamilyOutput:
         raise ValueError(f"tuplet order must be >= 2, got {t}")
     if kappa < 1:
         raise ValueError(f"coordinate range must be >= 1, got {kappa}")
+    # C(2t-1, t) >= 2^(t-1), the key entries of one word, so a t past the
+    # cap's bit length is refused before the count is formed: at t = 10^6
+    # that alone takes 30 s, and its digits would not fit a message
+    if t > _MAX_LETTERS.bit_length():
+        raise BudgetError(f"family needs at least 2^{t - 1} key entries per "
+                          f"word, over the cap {_MAX_LETTERS}")
     coordinates = math.comb(2 * t - 1, t)
     # with kappa >= 2 a box of cap.bit_length() coordinates is already over
     # the cap, so no larger power is formed; the count then is a lower bound

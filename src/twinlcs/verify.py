@@ -114,13 +114,18 @@ def _suite_constructions(config: ExperimentConfig) -> list[CheckResult]:
 
 def _role_census(n: int) -> Counter:
     """Exact census of all role words of length n by (pairs, switches,
-    exact leading zeros).  Independent of the closed-form counter."""
+    exact leading zeros), each listed once as its 2m marked positions and
+    the m of them that hold 1s.  Independent of the closed-form counter."""
     census: Counter = Counter()
-    for roles in itertools.product((0, 1, 2), repeat=n):
-        if roles.count(1) != roles.count(2):
-            continue
-        stats = role_stats(roles)
-        census[(stats.pairs, stats.switches, stats.leading_zeros)] += 1
+    for m in range(n // 2 + 1):
+        for marked in itertools.combinations(range(n), 2 * m):
+            for ones in itertools.combinations(marked, m):
+                roles = [0] * n
+                for i in marked:
+                    roles[i] = 1 if i in ones else 2
+                stats = role_stats(roles)
+                census[(stats.pairs, stats.switches,
+                        stats.leading_zeros)] += 1
     return census
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -27,6 +28,7 @@ from twinlcs import (
     theta,
     union_bound,
 )
+from twinlcs.verify import _role_census
 
 # frozen against the 60-digit Decimal evaluation in oracles.theta_decimal
 THETA_TABLE = {
@@ -47,6 +49,7 @@ def test_theta_frozen_values():
     for (alpha, k), expected in THETA_TABLE.items():
         assert theta(float(alpha), k).value == pytest.approx(expected,
                                                              abs=1e-12)
+from twinlcs.verify import _role_census
 
 
 @given(st.integers(2, 12), st.fractions(0, 1))
@@ -171,6 +174,13 @@ def test_role_count_binomial_identity():
         assert total == math.comb(2 * m, m)
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_verify_census_lists_each_balanced_role_word_once(n):
+    assert _role_census(n) == role_census(n)
+    assert sum(_role_census(n).values()) == sum(
+        math.comb(n, 2 * m) * math.comb(2 * m, m) for m in range(n // 2 + 1))
+
+
 def test_role_prob():
     assert role_prob(2, 12, 4, 2, 1) == Fraction(1, 512)
     assert role_prob(3, 6, 2, 1, 0) == \
@@ -222,6 +232,19 @@ def test_union_bound_dominates_exhaustive_tail():
     for m in range(0, 5):
         tail = Fraction(sum(v for lt, v in counts.items() if lt >= m), total)
         assert union_bound(2, 8, m) >= tail, m
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: union_bound(2, 10**17, 3), "union_bound"),
+    (lambda: union_bound(10**30, 2000, 10), "union_bound"),  # 103 s
+    (lambda: role_prob(2, 10**18, 1, 0, 0), "role_prob"),
+    (lambda: role_prob(3, 10**8, 1, 0, 0), "role_prob"),  # 92 s
+])
+def test_exact_rationals_are_charged_before_they_are_formed(call, what):
+    start = time.process_time()
+    with pytest.raises(BudgetError, match=f"^{what} needs .* cells"):
+        call()
+    assert time.process_time() - start < 0.1
 
 
 # -- constants ---------------------------------------------------------------------

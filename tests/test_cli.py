@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -46,18 +47,28 @@ def test_lcs_json_envelope(capsys):
     assert doc["length"] == 3
 
 
-@pytest.mark.parametrize("flag",
-                         ["--seed", "--budget-cells", "--budget-nodes"])
-def test_global_flags_after_subcommand(capsys, flag):
-    argv = ("experiment", "conjecture", "--k", "2", "--starts", "1")
-    code_a, out_a, _ = run(capsys, "--json", flag, "777", *argv)
-    code_b, out_b, _ = run(capsys, *argv, flag, "777", "--json")
-    assert code_a == code_b == 0
-    assert out_a == out_b
-    # the flag given is set; the rest keep ExperimentConfig's defaults
+# a command that reads each setting
+_READER = {"--seed": ("experiment", "conjecture", "--k", "2",
+                     "--starts", "1"),
+           "--budget-cells": ("lcs", "1212", "2121"),
+           "--budget-nodes": ("twins", "0110010010101101")}
+
+
+@pytest.mark.parametrize("flag", list(_READER))
+def test_global_flags_after_subcommand(tmp_path, capsys, flag):
+    # --json and --out go on either side of the command, the setting after it
+    argv = (*_READER[flag], flag, "777")
     dest = flag[2:].replace("-", "_")
-    assert json.loads(out_a)["config"] == {**ExperimentConfig().to_json(),
-                                           dest: 777}
+    assert getattr(build_parser().parse_args(argv), dest) == 777
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    code_a, out_a, _ = run(capsys, "--json", "--out", str(before), *argv)
+    code_b, out_b, _ = run(capsys, *argv, "--out", str(after), "--json")
+    code_c, out_c, _ = run(capsys, "--out", str(after), *argv, "--json")
+    code_d, out_d, _ = run(capsys, "--json", *argv)
+    assert code_a == code_b == code_c == code_d == 0
+    assert out_a == out_b == out_c == ""
+    assert before.read_text() == after.read_text() == out_d
+    assert json.loads(out_d)["schema_version"] == 1
 
 
 def test_out_writes_file(tmp_path, capsys):
@@ -397,8 +408,8 @@ def test_construct_subcommands_are_the_registry(capsys):
     # each family's options are its builder's parameters, with their
     # defaults, and its help shows the builder's docstring
     families = _subparsers(_subparsers(build_parser())["construct"])
-    shared = {"help", "check", "set_restrict",
-              "seed", "budget_cells", "budget_nodes", "json", "out"}
+    shared = {"help", "check", "set_restrict", "budget_cells", "json",
+              "out"}
     for name, build in FAMILY_BUILDERS.items():
         params = inspect.signature(build).parameters.values()
         expected = {p.name: (p.default is p.empty,
@@ -498,8 +509,8 @@ def test_experiment_lt_tail_exhaustive(capsys):
 
 
 def test_experiment_lt_tail_seeded_json(capsys):
-    args = ("--json", "--seed", "5", "experiment", "lt-tail", "--k", "3",
-            "--n", "10", "--alpha", "0.4", "--trials", "40")
+    args = ("--json", "experiment", "lt-tail", "--k", "3", "--n", "10",
+            "--alpha", "0.4", "--trials", "40", "--seed", "5")
     code_a, out_a, _ = run(capsys, *args)
     code_b, out_b, _ = run(capsys, *args)
     assert code_a == code_b == 0
@@ -518,7 +529,7 @@ def test_experiment_lt_tail_seeded_json(capsys):
      6),
 ])
 def test_experiment_json_config_has_four_keys(capsys, argv, trials):
-    code, out, _ = run(capsys, "--json", "--seed", "7", "experiment", *argv)
+    code, out, _ = run(capsys, "--json", "experiment", *argv, "--seed", "7")
     assert code == 0
     assert json.loads(out)["config"] == {
         "seed": 7, "trials": trials, "budget_nodes": DEFAULT_NODE_BUDGET,
@@ -551,6 +562,58 @@ def test_each_leaf_names_its_own_handler():
     others = [h for path, h in handlers.items() if path[0] != "construct"]
     assert len(construct) == 1
     assert len(set(others)) == len(others) and construct.isdisjoint(others)
+
+
+# the ExperimentConfig settings that each leaf command reads
+_LEAF_SETTINGS = {
+    ("lcs",): {"budget_cells"},
+    ("lcs-set",): {"budget_cells"},
+    ("twins",): {"budget_nodes"},
+    **{("construct", name): {"budget_cells"} for name in FAMILY_BUILDERS},
+    **{("bound", what): set() for what in
+       ("theta", "threshold", "union", "count", "prob", "constants")},
+    ("experiment", "lt-tail"): {"seed", "trials", "budget_nodes"},
+    ("experiment", "conjecture"): {"seed"},
+    ("verify",): {"seed", "budget_cells"},
+}
+
+
+def _accepted_argv(path, leaf):
+    """The command words of a leaf plus a value for each required argument."""
+    argv = list(path)
+    for action in leaf._actions:
+        if action.required:
+            value = next(iter(action.choices)) if action.choices else "1"
+            argv += [action.option_strings[0], value] \
+                if action.option_strings else [value]
+    return argv
+
+
+def test_each_leaf_takes_only_the_settings_it_reads(capsys):
+    fields = list(inspect.signature(ExperimentConfig).parameters)
+    parser = build_parser()
+    leaves = dict(_leaves(parser))
+    assert leaves.keys() == _LEAF_SETTINGS.keys()
+    assert sum(map(len, _LEAF_SETTINGS.values())) == 15
+    for path, leaf in leaves.items():
+        argv = _accepted_argv(path, leaf)
+        assert parser.parse_args(argv).func is leaf.get_default("func")
+        for field in fields:
+            flag = "--" + field.replace("_", "-")
+            # before the leaf, under the root or a group, every setting is
+            # an error
+            wrong = [[*path[:depth], flag, "5", *argv[depth:]]
+                     for depth in range(len(path))]
+            if field in _LEAF_SETTINGS[path]:
+                assert getattr(parser.parse_args([*argv, flag, "5"]),
+                               field) == 5
+            else:
+                wrong.append([*argv, flag, "5"])
+            for bad in wrong:
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(bad)
+                assert exc.value.code == 2, bad
+    capsys.readouterr()
 
 
 def test_experiment_conjecture(capsys):
@@ -591,7 +654,7 @@ def test_one_parser_per_process_keeps_no_state(monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_parser", counted_build)
     monkeypatch.setattr(cli, "verify_suite", seen_suite)
     cli._parser.cache_clear()
-    code, out, _ = run(capsys, "--seed", "5", "--json", "verify", "bounds")
+    code, out, _ = run(capsys, "--json", "verify", "bounds", "--seed", "5")
     assert code == 0 and json.loads(out)["suite"] == "bounds"
     # the flags of one call are not defaults of the next
     code, out, _ = run(capsys, "verify", "bounds")
@@ -671,6 +734,40 @@ def test_lt_tail_non_finite_alpha_exits_2(capsys, alpha):
                          "12", "--alpha", alpha)
     assert code == 2 and out == ""
     assert err.startswith("error: alpha * n must be finite")
+
+
+_HUGE = str(10**400)
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    pytest.param(("construct", "multiperm", "--s", "1", "--k", _HUGE), 2,
+                 "error: ", id="multiperm-k"),
+    pytest.param(("bound", "theta", "--alpha", "0.3", "--k", _HUGE), 2,
+                 "error: ", id="theta-k"),
+    pytest.param(("bound", "threshold", "--k", _HUGE), 2, "error: ",
+                 id="threshold-k"),
+    pytest.param(("bound", "constants", "--k", _HUGE), 2, "error: ",
+                 id="constants-k"),
+    pytest.param(("experiment", "lt-tail", "--k", "2", "--n", _HUGE,
+                  "--alpha", "0.5"), 2, "error: ", id="lt-tail-n"),
+    pytest.param(("construct", "tuplet", "--t", "20000", "--kappa", "1"), 3,
+                 "budget exceeded: family needs at least 2^19999 key",
+                 id="tuplet-t"),
+    pytest.param(("bound", "union", "--k", "2", "--n", str(10**17),
+                  "--m", "3"), 3, "budget exceeded: union_bound needs ",
+                 id="union-n"),
+    pytest.param(("bound", "prob", "--k", "2", "--n", str(10**18), "--m", "1",
+                  "--p", "0", "--z", "0"), 3,
+                 "budget exceeded: role_prob needs ", id="prob-n"),
+])
+def test_huge_input_exits_with_one_line(capsys, argv, code, message):
+    # a number too large for a float is bad input, and work too large for
+    # a budget is refused before it starts
+    start = time.process_time()
+    got, out, err = run(capsys, *argv)
+    assert time.process_time() - start < 1
+    assert (got, out) == (code, "")
+    assert err.startswith(message) and err.count("\n") == 1, err
 
 
 def test_conjecture_bad_input_exits_cleanly(capsys):

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -240,6 +241,17 @@ def test_tuplet_budget_and_validation():
         tuplet_family(1, 2)
     with pytest.raises(ValueError):
         tuplet_family(2, 0)
+
+
+@pytest.mark.parametrize("kappa", [1, 2])
+def test_tuplet_refuses_a_huge_order_before_counting(kappa):
+    # C(2t-1, t) at t = 10^6 takes about 30 s and has 301,029 digits
+    start = time.process_time()
+    with pytest.raises(BudgetError) as exc:
+        tuplet_family(10**6, kappa)
+    assert time.process_time() - start < 0.1
+    assert str(exc.value) == ("family needs at least 2^999999 key entries "
+                              "per word, over the cap 4000000")
 
 
 def test_tuplet_with_unit_range_builds_past_64_coordinates():

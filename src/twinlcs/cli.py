@@ -173,9 +173,14 @@ def _cmd_bound_threshold(args: argparse.Namespace, config: ExperimentConfig):
 
 def _cmd_bound_union(args: argparse.Namespace, config: ExperimentConfig):
     value = union_bound(args.k, args.n, args.m)
+    try:
+        approx: Optional[float] = float(value)
+    except OverflowError:  # a union bound can pass the float range
+        approx = None
     return ({"k": args.k, "n": args.n, "m": args.m,
-             "bound": str(value), "float": float(value)},
-            [f"union bound: {value} ~ {float(value):.6g}"])
+             "bound": str(value), "float": approx},
+            [f"union bound: {value}"
+             + ("" if approx is None else f" ~ {approx:.6g}")])
 
 
 def _cmd_bound_count(args: argparse.Namespace, config: ExperimentConfig):

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DEFAULT_BUDGET_CELLS, BudgetError, Record
-from .lcs import lcs_len, lcs_multi
+from .lcs import lcs_multi, pair_lengths
 from .words import Word
 
 
@@ -111,29 +111,43 @@ def check_family(out: FamilyOutput, *,
                  ) -> list[tuple[Ceiling, int, bool]]:
     """(ceiling, computed value, value <= bound) for every ceiling.
 
-    ``set_restrict`` caps joint-LCS checks by first deleting all letters
-    above the cap from every word; deletion never increases the joint
-    LCS, so the check remains sound for the restricted instance.  A cap
-    below 1 would delete every letter and certify nothing, and a mode
-    other than "lcs", "rev" and "set" names no quantity: ValueError.
+    All "lcs" and "rev" ceilings go through one ``pair_lengths`` call, with
+    each reversed partner built once, so each word is prepared for the
+    match-point chain at most once.  ``set_restrict`` caps joint-LCS checks
+    by first deleting all letters above the cap from every word; deletion
+    never increases the joint LCS, so the check remains sound for the
+    restricted instance.  A cap below 1 would delete every letter and
+    certify nothing, and a mode other than "lcs", "rev" and "set" names no
+    quantity: ValueError, before any value is computed.
     """
     if set_restrict is not None and set_restrict < 1:
         raise ValueError(f"set_restrict must be >= 1, got {set_restrict}")
+    words = list(out.words)
+    reversed_at: dict[int, int] = {}  # word index: index of its reversal
+    pairs = []
+    for ceiling in out.ceilings:
+        if ceiling.mode == "lcs":
+            pairs.append(ceiling.indices)
+        elif ceiling.mode == "rev":
+            i, j = ceiling.indices
+            if j not in reversed_at:
+                reversed_at[j] = len(words)
+                words.append(out.words[j].reversed())
+            pairs.append((i, reversed_at[j]))
+        elif ceiling.mode != "set":
+            raise ValueError(f"unknown ceiling mode {ceiling.mode!r}")
+    lengths = iter(pair_lengths(words, pairs))
     report = []
     for ceiling in out.ceilings:
-        words = [out.words[i] for i in ceiling.indices]
-        if ceiling.mode == "lcs":
-            value = lcs_len(words[0], words[1])
-        elif ceiling.mode == "rev":
-            value = lcs_len(words[0], words[1].reversed())
-        elif ceiling.mode == "set":
+        if ceiling.mode == "set":
+            subset = [out.words[i] for i in ceiling.indices]
             if set_restrict is not None:
-                words = [w.restrict(range(1, set_restrict + 1))
-                         for w in words]
-            value = lcs_multi(words, witness=False,
+                subset = [w.restrict(range(1, set_restrict + 1))
+                          for w in subset]
+            value = lcs_multi(subset, witness=False,
                               budget_cells=budget_cells).length
         else:
-            raise ValueError(f"unknown ceiling mode {ceiling.mode!r}")
+            value = next(lengths)
         report.append((ceiling, value, value <= ceiling.bound))
     return report
 

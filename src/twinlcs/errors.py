@@ -8,6 +8,7 @@ dict as a copy, a Fraction as text, and a value with a ``to_json`` as its own JS
 record that is written otherwise says why in its own ``to_json``.  This
 module imports nothing from the package, so every other module may."""
 
+import math
 from dataclasses import fields
 from fractions import Fraction
 from typing import ClassVar
@@ -33,8 +34,18 @@ def check_budget(needed: int, budget: int, what: str, *,
     message ends with the caller's ``hint``, if any."""
     if needed > budget:
         raise BudgetError(
-            f"{what} needs {needed} {unit}, over the budget of "
+            f"{what} needs {_count_text(needed)} {unit}, over the budget of "
             f"{budget}" + (f"; {hint}" if hint else ""))
+
+
+def _count_text(count: int) -> str:
+    """A count in full, or by its nearest power of ten past 13,000 bits
+    (about 3900 digits): Python refuses to write an integer of more than
+    4300 digits, and a count that large says no more than its size."""
+    bits = count.bit_length()  # 2^(bits-1) <= count < 2^bits
+    if bits <= 13_000:
+        return str(count)
+    return f"about 10^{round((bits - 0.5) * math.log10(2))}"
 
 
 class Record:

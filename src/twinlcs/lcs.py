@@ -5,10 +5,16 @@ length takes whichever of two routes costs less, as estimated from letter
 counts before any per-point work: a bit-parallel row DP (big-int rows, one
 pass per letter of the second word) that keeps its last row only, or the
 longest chain of the pair's match points by patience sorting, for sparse
-pairs such as permutations.  A pair witness always comes from bit rows: the
-DP runs over the reversed words and keeps all len(b)+1 rows, from which any
-suffix value LCS(a[i:], b[j:]) is one masked popcount.  Three or
-more words take one of two routes for a length, whichever costs less: the
+pairs such as permutations.  ``pair_lengths`` computes the lengths of many
+pairs of one word list, and ``lcs_len`` is its one-pair case;
+``check_family`` and ``set_lcs_stats`` send all their pairs through one call.
+The chain's setup is shared within that call only: each word becomes one
+letter array, and each word that comes second in a pair is listed by letter
+once, so a family of m words is prepared m times, not m(m - 1) times.
+A pair witness always comes from bit rows: the DP runs over the reversed
+words and keeps all len(b)+1 rows, from which any suffix value
+LCS(a[i:], b[j:]) is one masked popcount.  Three or more words take one
+of two routes for a length, whichever costs less: the
 dense suffix table, with prod(len(w)+1) cells, or the longest chain of match
 points (Hunt & Szymanski 1977), with M**2 steps for M match points.  The chain
 is taken when M**2 is below the cell count, as for permutations (M = n) and
@@ -63,8 +69,9 @@ class LcsResult:
 
 
 def _require_common_alphabet(words: Sequence[Word]) -> None:
-    if any(w.k != words[0].k for w in words):
-        raise ValueError("all words must share one alphabet")
+    for w in words:  # a plain loop: lcs_len pays this on every call
+        if w.k != words[0].k:
+            raise ValueError("all words must share one alphabet")
 
 
 def _row_dp(x: Sequence[int], y: Sequence[int],
@@ -89,37 +96,96 @@ def _row_dp(x: Sequence[int], y: Sequence[int],
     return row
 
 
-def _pair_chain(a: Sequence[int], b: Sequence[int],
-                most: int) -> Optional[int]:
-    """LCS length of two letter sequences as the longest chain of their
-    match points (Hunt & Szymanski 1977), or None, before any per-point
-    work, when they have more than ``most`` match points.
+def _letter_arrays(words: Sequence[Word]) -> tuple[list[np.ndarray], int]:
+    """The letters of each word as an int64 array, and a size above every
+    letter.  Letters far above the word lengths are renumbered first, one
+    numbering for all the words, so that no array has one entry per letter
+    of a huge alphabet."""
+    xs = [np.fromiter(w.letters, np.int64, len(w.letters)) for w in words]
+    top = max(x.max(initial=0) for x in xs)
+    if top > 4 * sum(map(len, xs)):
+        codes = np.unique(np.concatenate(xs), return_inverse=True)[1]
+        xs = np.split(codes, np.cumsum([len(x) for x in xs])[:-1])
+        top = codes.max(initial=0)
+    return xs, int(top) + 1
 
-    A match point (i, j) has a[i] == b[j]; a common subsequence is a chain
+
+def _listing(y: np.ndarray, size: int
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Match-point listing of a second word, its letters below ``size``:
+    the count of each letter, the positions grouped by letter (j descending
+    within a letter), and where each letter's group starts."""
+    count = np.bincount(y, minlength=size)
+    order = np.lexsort((-np.arange(len(y)), y))
+    return count, order, np.cumsum(count) - count
+
+
+def _pair_chain(x: np.ndarray, listing: tuple[np.ndarray, ...],
+                most: int) -> Optional[int]:
+    """LCS length of the letters x against a listed word as the longest
+    chain of their match points (Hunt & Szymanski 1977), or None, before
+    any per-point work, when they have more than ``most`` match points.
+
+    A match point (i, j) has x[i] == y[j]; a common subsequence is a chain
     of points that grows strictly in both coordinates.  Listed by i
     ascending and, at one i, by j descending, the chains are the strictly
     increasing subsequences of the j's, and patience sorting (``_lis``,
-    every j below len(b)) finds the longest with one bisection per point.
-    The setup costs O(len(a) + len(b)), whatever the alphabet: letters far
-    above the word lengths are renumbered first.  The point list takes
-    O(``most``) memory.
+    every j below len(y)) finds the longest with one bisection per point.
+    The point list takes O(``most``) memory.
     """
-    n = len(b)
-    x = np.fromiter(a, np.int64, len(a))
-    y = np.fromiter(b, np.int64, n)
-    if max(x.max(initial=0), y.max(initial=0)) > 4 * (len(x) + n):
-        codes = np.unique(np.concatenate((x, y)), return_inverse=True)[1]
-        x, y = codes[:len(x)], codes[len(x):]
-    count = np.bincount(y, minlength=x.max(initial=0) + 1)
-    per = count[x]  # the match points at each position of a
+    count, order, first = listing
+    per = count[x]  # the match points at each position of x
     points = int(per.sum())
     if points > most:
         return None
-    order = np.lexsort((-np.arange(n), y))  # by letter, then j descending
-    first = np.cumsum(count) - count  # where each letter starts in order
     ends = np.cumsum(per)
     js = order[np.arange(points) + np.repeat(first[x] - ends + per, per)]
-    return _lis(js.tolist(), n)
+    return _lis(js.tolist(), len(order))
+
+
+def pair_lengths(words: Sequence[Word],
+                 pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """LCS(words[i], words[j]) for each (i, j) in ``pairs``, all the words
+    over one alphabet, each pair by the route that ``lcs_len`` describes.
+
+    When the chain may serve some pair, the words are prepared once for
+    the whole call: each becomes one letter array, and each word that
+    comes second in such a pair is listed once and serves all its pairs
+    before the next is listed, so the call holds one listing at a time and
+    its memory stays linear in the words.  Shared with ``check_family``;
+    the package does not export it.
+    """
+    _require_common_alphabet(words)
+    lengths: list[int] = []
+    chained: dict[int, list[tuple[int, int, int]]] = {}  # j: (slot, i, most)
+    for i, j in pairs:
+        x, y = words[i].letters, words[j].letters
+        if len(x) >= 96 and len(y) >= 96:
+            # Measured on random pairs, the chain's time fell below the row
+            # DP's at about 80 letters for permutations (M = n), 300 with
+            # two copies of each letter (M = 2n) and 650 with three
+            # (M = 3n); dense pairs, such as binary words (M ~ n * n / 2),
+            # stay on the row DP.  The cap keeps the chain's M-sized arrays
+            # linear in the words.  Near it, on random pairs of 6000 letters
+            # with eight copies of each, the two routes took the same time
+            # (19 ms).
+            most = min(len(y) * (2000 + len(x)) // 1000 - 100,
+                       4 * (len(x) + len(y)))
+            if len(x) * len(y) <= words[i].k * most:
+                chained.setdefault(j, []).append((len(lengths), i, most))
+                lengths.append(0)
+                continue
+        lengths.append(_row_dp(x, y).bit_count())
+    if chained:
+        xs, size = _letter_arrays(words)
+        for j, group in chained.items():
+            listing = _listing(xs[j], size)
+            for slot, i, most in group:
+                got = _pair_chain(xs[i], listing, most)
+                lengths[slot] = (got if got is not None else
+                                 _row_dp(words[i].letters,
+                                         words[j].letters).bit_count())
+    return lengths
 
 
 def lcs_len(a: Word, b: Word) -> int:
@@ -134,23 +200,7 @@ def lcs_len(a: Word, b: Word) -> int:
     len(a) * len(b) / k, the M of words in which every letter is equally
     frequent, is already over.
     """
-    _require_common_alphabet((a, b))
-    x, y = a.letters, b.letters
-    if len(x) >= 96 and len(y) >= 96:
-        # Measured on random pairs, the chain's time fell below the row
-        # DP's at about 80 letters for permutations (M = n), 300 with two
-        # copies of each letter (M = 2n) and 650 with three (M = 3n); dense
-        # pairs, such as binary words (M ~ n * n / 2), stay on the row DP.
-        # The cap keeps the chain's M-sized arrays linear in the words.  Near
-        # it, on random pairs of 6000 letters with eight copies of each, the
-        # two routes took the same time (19 ms).
-        most = min(len(y) * (2000 + len(x)) // 1000 - 100,
-                   4 * (len(x) + len(y)))
-        if len(x) * len(y) <= a.k * most:
-            chain = _pair_chain(x, y, most)
-            if chain is not None:
-                return chain
-    return _row_dp(x, y).bit_count()
+    return pair_lengths((a, b), ((0, 1),))[0]
 
 
 def _pair_suffix(a: Word, b: Word) -> Callable[[tuple[int, ...]], int]:
@@ -382,21 +432,22 @@ def set_lcs_stats(words: Sequence[Word], t: int, *,
                   budget_cells: int = DEFAULT_BUDGET_CELLS) -> SetLcsStats:
     """Pairwise LCS matrix and max joint LCS over subsets of size t.
 
-    For t >= 3 the budget covers all subsets together, each charged what
+    The pairwise values come from one ``pair_lengths`` call, so each word
+    is prepared for the match-point chain at most once.  For t >= 3 the budget covers all subsets together, each charged what
     the route ``lcs_multi`` picks for it costs, and at least one unit, so
     the budget also bounds the subsets visited; the charge is summed, and
     refused at the first overshoot, before any subset is computed.
     """
     words = list(words)
-    _require_common_alphabet(words)
     if not 1 <= t <= len(words):
         raise ValueError(f"subset size {t} out of range for {len(words)} words")
     n = len(words)
     table = [[0] * n for _ in range(n)]
     for i in range(n):
         table[i][i] = len(words[i])
-    for i, j in combinations(range(n), 2):
-        table[i][j] = table[j][i] = lcs_len(words[i], words[j])
+    pairs = list(combinations(range(n), 2))
+    for (i, j), value in zip(pairs, pair_lengths(words, pairs)):
+        table[i][j] = table[j][i] = value
     if t <= 2:  # the table holds single lengths and pair values
         values = (table[c[0]][c[-1]] for c in combinations(range(n), t))
     else:

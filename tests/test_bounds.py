@@ -28,6 +28,7 @@ from twinlcs import (
     theta,
     union_bound,
 )
+from twinlcs.errors import check_budget
 from twinlcs.verify import _role_census
 
 # frozen against the 60-digit Decimal evaluation in oracles.theta_decimal
@@ -245,6 +246,19 @@ def test_exact_rationals_are_charged_before_they_are_formed(call, what):
     with pytest.raises(BudgetError, match=f"^{what} needs .* cells"):
         call()
     assert time.process_time() - start < 0.1
+
+
+@pytest.mark.parametrize("needed, text", [
+    pytest.param(10**3900, str(10**3900), id="12956-bits-in-full"),
+    pytest.param(10**5000 - 1, "about 10^5000", id="below-10^5000"),
+    pytest.param(10**5000, "about 10^5000", id="10^5000"),
+    pytest.param(2**13001, "about 10^3914", id="2^13001"),
+])
+def test_budget_message_writes_a_huge_count_by_its_size(needed, text):
+    with pytest.raises(BudgetError) as info:
+        check_budget(needed, 1, "work")
+    assert str(info.value) == (f"work needs {text} alignment cells, over the "
+                               "budget of 1")
 
 
 # -- constants ---------------------------------------------------------------------

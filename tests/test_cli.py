@@ -9,10 +9,12 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from twinlcs.bounds import union_bound
 from twinlcs.cli import build_parser, load_word, main
 from twinlcs.constructions import FAMILY_BUILDERS
 from twinlcs.experiments import ExperimentConfig
@@ -480,6 +482,23 @@ def test_bound_union_count_prob(capsys):
     assert err == "error: alphabet size must be >= 1, got 0\n"
 
 
+def test_bound_union_past_the_float_range(capsys):
+    # at k = 2 and m = 470 the bound still fits a float at n = 1330, not at
+    # n = 1340
+    code, out, _ = run(capsys, "bound", "union", "--k", "2", "--n", "1330",
+                       "--m", "470")
+    assert code == 0 and out.endswith(" ~ 1.23273e+306\n")
+    code, out, _ = run(capsys, "bound", "union", "--k", "2", "--n", "1340",
+                       "--m", "470")
+    exact = union_bound(2, 1340, 470)
+    assert code == 0 and out == f"union bound: {exact}\n"
+    code, out, _ = run(capsys, "--json", "bound", "union", "--k", "2",
+                       "--n", "1340", "--m", "470")
+    doc = json.loads(out)
+    assert code == 0 and doc["float"] is None
+    assert Fraction(doc["bound"]) == exact > 10**308
+
+
 def test_bound_constants(capsys):
     code, out, _ = run(capsys, "bound", "constants", "--k", "3")
     assert code == 0
@@ -759,6 +778,12 @@ _HUGE = str(10**400)
     pytest.param(("bound", "prob", "--k", "2", "--n", str(10**18), "--m", "1",
                   "--p", "0", "--z", "0"), 3,
                  "budget exceeded: role_prob needs ", id="prob-n"),
+    # a count of more than 4300 digits is written by its size
+    pytest.param(("bound", "union", "--k", "2", "--n", str(10**1500),
+                  "--m", "3"), 3,
+                 "budget exceeded: union_bound needs about 10^4496 cells "
+                 "(20000 squared bits each), over the budget of 100000000\n",
+                 id="union-n-digits"),
 ])
 def test_huge_input_exits_with_one_line(capsys, argv, code, message):
     # a number too large for a float is bad input, and work too large for

@@ -22,6 +22,8 @@ from twinlcs import (
     check_family,
     cube_quadruple,
     grid_pair,
+    lcs_len,
+    lcs_multi,
     lcs_pair,
     lcs_reversible,
     multiperm_quadruple,
@@ -370,6 +372,60 @@ def test_unknown_ceiling_mode_is_rejected_when_checked():
     with pytest.raises(ValueError, match="unknown ceiling mode 'max'"):
         check_family(FamilyOutput(out.family, out.params, out.words,
                                   out.ceilings + (bad,)))
+
+
+# one small instance of each family; all but tuplet and stratified reach
+# the match-point chain, and grid has a "rev" ceiling
+CHECK_CASES = {
+    "quadratic": lambda: quadratic_family(7),
+    "cube": lambda: cube_quadruple(5),
+    "grid": lambda: grid_pair(300, 2),
+    "multiperm": lambda: multiperm_quadruple(2, k=300),
+    "tuplet": lambda: tuplet_family(2, 2),
+    "stratified": lambda: stratified_family(3, 18, (1, 3, 6)),
+}
+
+
+def test_check_cases_cover_every_family():
+    assert set(CHECK_CASES) == set(FAMILY_BUILDERS)
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_CASES))
+def test_check_family_equals_each_ceiling_alone(name):
+    out = CHECK_CASES[name]()
+    report = check_family(out)
+    assert [c for c, _, _ in report] == list(out.ceilings)
+    for ceiling, value, ok in report:
+        words = [out.words[i] for i in ceiling.indices]
+        if ceiling.mode == "lcs":
+            alone = lcs_len(*words)
+        elif ceiling.mode == "rev":
+            alone = lcs_len(words[0], words[1].reversed())
+        else:
+            alone = lcs_multi(words, witness=False).length
+        assert value == alone and ok == (value <= ceiling.bound), ceiling
+
+
+def test_check_family_reverses_each_partner_once(monkeypatch):
+    # two "rev" ceilings against word 1 and one against word 0
+    out = grid_pair(300, 2)
+    out = FamilyOutput(out.family, out.params, out.words,
+                       out.ceilings + (Ceiling((1, 1), "rev", 600),
+                                       Ceiling((1, 0), "rev", 600)))
+    reversals = []
+    reversed_word = Word.reversed
+
+    def spy(word):
+        reversals.append(word)
+        return reversed_word(word)
+
+    monkeypatch.setattr(Word, "reversed", spy)
+    values = [value for _, value, _ in check_family(out)]
+    assert reversals == [out.words[1], out.words[0]]
+    monkeypatch.undo()
+    a, b = out.words
+    assert values == [lcs_len(a, b), lcs_len(a, b.reversed()),
+                      lcs_len(b, b.reversed()), lcs_len(b, a.reversed())]
 
 
 def test_set_restrict_never_increases_value():

@@ -26,7 +26,8 @@ from twinlcs import (
     substream,
 )
 from twinlcs import lcs
-from twinlcs.lcs import _chain_length, _length_cost, _pair_chain, _row_dp
+from twinlcs.lcs import (_chain_length, _length_cost, _letter_arrays, _listing,
+                         _pair_chain, _row_dp, pair_lengths)
 
 pairs = st.integers(2, 4).flatmap(
     lambda k: st.tuples(
@@ -92,14 +93,57 @@ chain_pairs = (st.integers(1, 6).flatmap(letter_pairs)
                | st.integers(1, 3).flatmap(lambda k: letter_pairs(k, k + 1)))
 
 
+def chain_of(a, b, most):
+    """The pair step of letter lists a and b, with b listed."""
+    k = max((*a, *b), default=1)
+    (x, y), size = _letter_arrays([Word(tuple(a), k), Word(tuple(b), k)])
+    return _pair_chain(x, _listing(y, size), most)
+
+
 @given(chain_pairs)
 def test_pair_chain_matches_row_dp_and_brute_force(ab):
     a, b = ab
     expected = brute_lcs(a, b)
     points = sum(x == y for x in a for y in b)
-    assert _pair_chain(a, b, points) == _row_dp(a, b).bit_count() == expected
+    assert chain_of(a, b, points) == _row_dp(a, b).bit_count() == expected
     # over its cap on match points the chain declines before it starts
-    assert _pair_chain(a, b, points - 1) is None
+    assert chain_of(a, b, points - 1) is None
+
+
+@st.composite
+def word_lists(draw):
+    """Up to five words over k letters, each letter scaled by 1 or by 10**6
+    and the alphabet with it; scaled letters lie far above every word
+    length, so the letter arrays renumber them.  Pairs of 96 and more
+    letters take the chain when k = 300, and also when the letters are
+    scaled, whose alphabet passes the alphabet test; with k <= 6 such
+    chains then decline after counting their match points."""
+    k = draw(st.sampled_from((1, 6, 300)))
+    scale = draw(st.sampled_from((1, 10**6)))
+    sizes = draw(st.lists(st.sampled_from((0, 3, 96, 120)), max_size=5))
+    letter = st.integers(1, k).map(lambda c: c * scale)
+    return [Word(tuple(draw(st.lists(letter, min_size=n, max_size=n))),
+                 k * scale) for n in sizes]
+
+
+@given(word_lists(), st.data())
+def test_pair_lengths_equal_each_pair_alone(words, data):
+    index = st.integers(0, max(len(words) - 1, 0))
+    pairs = (data.draw(st.lists(st.tuples(index, index), max_size=8))
+             if words else [])
+    got = pair_lengths(words, pairs)
+    assert got == [lcs_len(words[i], words[j]) for i, j in pairs]
+    assert got == [brute_lcs(words[i].letters, words[j].letters)
+                   for i, j in pairs]
+
+
+def test_pair_lengths_refuse_a_mixed_alphabet():
+    a, b = Word((1, 2), 2), Word((1, 2), 3)
+    for call in (lambda: pair_lengths([a, a, b], [(0, 1)]),
+                 lambda: lcs_len(a, b),
+                 lambda: set_lcs_stats([a, b], 2)):
+        with pytest.raises(ValueError, match="all words must share one"):
+            call()
 
 
 @pytest.fixture
@@ -123,6 +167,25 @@ def routes(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def prepared(monkeypatch):
+    """Count the words turned into letter arrays and the listings built."""
+    seen = {"arrays": 0, "listings": 0}
+    arrays, listing = lcs._letter_arrays, lcs._listing
+
+    def spy_arrays(words):
+        seen["arrays"] += len(words)
+        return arrays(words)
+
+    def spy_listing(*args):
+        seen["listings"] += 1
+        return listing(*args)
+
+    monkeypatch.setattr(lcs, "_letter_arrays", spy_arrays)
+    monkeypatch.setattr(lcs, "_listing", spy_listing)
+    return seen
+
+
 def test_pair_length_across_the_route_switch(routes):
     rng = substream(18, 0)
     for n, copies in ((96, 1), (150, 1), (250, 1), (400, 1),
@@ -135,11 +198,21 @@ def test_pair_length_across_the_route_switch(routes):
     assert routes["chain"] and routes["row"], routes
 
 
-def test_pair_length_route_follows_the_cost(routes):
+def test_pair_length_route_follows_the_cost(routes, prepared):
     words = quadratic_family(11).words
     for a, b in itertools.combinations(words, 2):
         lcs_len(a, b)
     assert routes == {"chain": 55, "declined": 0, "row": 0}
+    assert prepared == {"arrays": 110, "listings": 55}
+    # one call for all pairs prepares each word once: 11 letter arrays, and
+    # one listing for each of the 10 words that come second in a pair
+    routes.update(chain=0)
+    prepared.update(arrays=0, listings=0)
+    pairs = list(itertools.combinations(range(11), 2))
+    got = pair_lengths(words, pairs)
+    assert routes == {"chain": 55, "declined": 0, "row": 0}
+    assert prepared == {"arrays": 11, "listings": 10}
+    assert got == [lcs_len(words[i], words[j]) for i, j in pairs]
     # dense binary words: the alphabet size alone keeps them off the chain,
     # before their match points are counted
     rng = substream(18, 1)
@@ -186,7 +259,7 @@ def test_pair_length_keeps_many_points_off_the_chain(routes):
     finally:
         tracemalloc.stop()
     assert routes == {"chain": 0, "declined": 0, "row": 1}
-    assert got == _pair_chain(a.letters, b.letters, 10**5) == 110
+    assert got == chain_of(a.letters, b.letters, 10**5) == 110
     assert peak < 2**20, peak
 
 
@@ -361,6 +434,17 @@ def test_length_route_follows_the_cost():
     # witnesses stay on the dense table and its cell count
     with pytest.raises(BudgetError, match="3-way alignment needs 68921 "):
         lcs_multi([perm] * 3, budget_cells=68920)
+
+
+def test_set_stats_pairwise_equal_each_pair_alone():
+    # permutations that take the chain, one of them reversed, and two short
+    # words that take the row DP
+    words = list(quadratic_family(7).words[:4])
+    words += [words[0].reversed(), Word((3, 1, 2), 343), Word((), 343)]
+    pairwise = set_lcs_stats(words, 2).pairwise
+    assert all(pairwise[i][j] == (lcs_len(a, b) if i != j else len(a))
+               for (i, a), (j, b) in itertools.product(enumerate(words),
+                                                       repeat=2))
 
 
 def test_set_stats_cube_quadruple_past_the_dense_budget():

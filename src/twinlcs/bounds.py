@@ -147,31 +147,45 @@ def role_count(n: int, pairs: int, switches: int, leading_zeros: int) -> int:
 
     The positions avoid the first ``leading_zeros`` slots in
     C(n - z, 2m) ways and the marked pattern has exactly p switches in
-    C(m, p)^2 ways.  Exact integer arithmetic; out-of-range statistics
-    describe an empty class and count 0.
+    C(m, p)^2 ways.  Exact integer arithmetic, charged against
+    ``DEFAULT_BUDGET_CELLS`` first (see _COUNT_BITS2); over it,
+    BudgetError.  Out-of-range statistics describe an empty class and
+    count 0.
     """
     if (n < 0 or pairs < 0 or switches < 0 or leading_zeros < 0
-            or leading_zeros > n):
+            or 2 * pairs > n - leading_zeros or switches > pairs):
         return 0
+    bits = (_comb_bits(n - leading_zeros, 2 * pairs)
+            + 2 * _comb_bits(pairs, switches))
+    _check_bits_work("role_count", bits, 1, _COUNT_BITS2)
     return (math.comb(n - leading_zeros, 2 * pairs)
             * math.comb(pairs, switches) ** 2)
 
 
-# The exact rationals of role_prob and union_bound are charged against
-# DEFAULT_BUDGET_CELLS before they are formed, in cells as is_regular's
-# checks are (words._CHECK_CELLS).  Their numbers have up to B = n times
-# the bit length of k bits (the size of k^n), and the work grows with B^2:
+def _comb_bits(n: int, k: int) -> int:
+    """A bound on the bit length of C(n, k), 0 <= k <= n: C(n, k) is at
+    most 2^n and at most n^min(k, n - k)."""
+    return min(n, min(k, n - k) * n.bit_length())
+
+
+# The exact integers of role_count and rationals of role_prob and
+# union_bound are charged against DEFAULT_BUDGET_CELLS before they are
+# formed, in cells as is_regular's checks are (words._CHECK_CELLS).  The
+# work grows with B^2 for numbers of B bits: role_count's product has at
+# most the B of _comb_bits, and took 1.9-5.5 ps per B^2 in calls of 1-2 s
+# (n from 4 * 10^5 to 10^6); the numbers of role_prob and union_bound have
+# up to B = n times the bit length of k bits (the size of k^n), and
 # role_prob took 0.011-0.021 ps per B^2 in calls of 1-2 s, and one summand
 # of union_bound 0.27-2.33 ps (k from 2 to 10^30, n up to 12,000), against
 # 41-77 ns a cell of lcs_multi, one core of a 2-core Xeon VM, Python 3.11.
 # A cell pays for this many squared bits:
+_COUNT_BITS2 = 10_000
 _PROB_BITS2 = 2_000_000
 _SUMMAND_BITS2 = 20_000
 
 
-def _check_rational_work(what: str, k: int, n: int, summands: int,
-                         bits2_per_cell: int) -> None:
-    bits = n * k.bit_length()
+def _check_bits_work(what: str, bits: int, summands: int,
+                     bits2_per_cell: int) -> None:
     check_budget(summands * bits * bits // bits2_per_cell,
                  DEFAULT_BUDGET_CELLS, what,
                  unit=f"cells ({bits2_per_cell} squared bits each)")
@@ -192,7 +206,7 @@ def role_prob(k: int, n: int, pairs: int, switches: int,
     if not (0 <= 2 * pairs <= n and 0 <= switches <= pairs
             and 0 <= leading_zeros <= n - 2 * pairs):
         raise ValueError("role statistics out of range")
-    _check_rational_work("role_prob", k, n, 1, _PROB_BITS2)
+    _check_bits_work("role_prob", n * k.bit_length(), 1, _PROB_BITS2)
     free = switches + n - 2 * pairs - leading_zeros
     return Fraction(1, k) ** pairs * Fraction(k - 1, k) ** free
 
@@ -215,7 +229,8 @@ def union_bound(k: int, n: int, pairs: int) -> Fraction:
         raise ValueError("length and pair count must be nonnegative")
     if 2 * pairs > n:
         return Fraction(0)
-    _check_rational_work("union_bound", k, n, n - pairs + 2, _SUMMAND_BITS2)
+    _check_bits_work("union_bound", n * k.bit_length(), n - pairs + 2,
+                     _SUMMAND_BITS2)
     # the summand factors into a switch part and a leading-zero part
     q = Fraction(k - 1, k)
     switch_sum = sum(math.comb(pairs, p) ** 2 * q ** p

@@ -5,11 +5,13 @@ Words are accepted inline (full ``k=2;w=1,2,1`` form or compact digits)
 or from a file via ``@path``.  ``--json`` and ``--out`` may appear
 before or after the subcommand; each leaf command takes, after its name,
 a flag for just the ExperimentConfig settings its handler reads.
-Argparse picks the handler: each leaf command, and each twin method
+A setting given before the command name is refused with a message naming
+it.  Argparse picks the handler: each leaf command, and each twin method
 flag, stores its own in ``func``.  A handler returns its JSON
 payload and text lines; ``main`` alone builds the ExperimentConfig and
-writes the output.  With ``--json`` every command emits one JSON document
-carrying a schema_version field; ``--out`` redirects output to a file.
+writes the output, with exact integers and rationals in full.  With
+``--json`` every command emits one JSON document carrying a
+schema_version field; ``--out`` redirects output to a file.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import inspect
 import json
 import sys
+from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
 from typing import Optional
@@ -26,7 +29,7 @@ from .bounds import (alpha_threshold, asymptotic_threshold,
                      lower_bound_values, role_count, role_prob, theta,
                      union_bound)
 from .constructions import FAMILY_BUILDERS, check_family
-from .errors import BudgetError
+from .errors import DEFAULT_BUDGET_CELLS, BudgetError, check_budget
 from .experiments import SCHEMA_VERSION, ExperimentConfig, estimate_lt_tail
 from .lcs import lcs_pair, lcs_reversible, set_lcs_stats
 from .perm import MAX_TABLE_K, minimize_expected_lcs
@@ -45,6 +48,43 @@ def load_word(text: str) -> Word:
 
 
 # -- subcommand handlers: each returns (payload, lines[, exit code]) ---------
+
+
+@contextmanager
+def _integer_text_of_any_size():
+    """Lift Python's cap on the digits of integer text (from 3.10.7 and
+    3.11) while exact values are written; the cap is restored after, so
+    parsing input keeps it."""
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    if limit is None:  # no cap to lift
+        yield
+        return
+    saved = limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+# Writing an integer of B bits as decimal text takes time growing with B^2
+# in Python 3.11: 1.5 ps per B^2 from 10^5 to 3 * 10^6 bits, against 41-77
+# ns a cell of lcs_multi, one core of a 2-core Xeon VM.  A cell pays for
+# this many squared bits:
+_TEXT_BITS2 = 20_000
+
+
+def _exact_text(value) -> str:
+    """An exact integer or rational in full, its text charged against
+    ``DEFAULT_BUDGET_CELLS`` first: role_prob's budget admits values whose
+    text would take minutes."""
+    bits2 = (value.numerator.bit_length() ** 2
+             + value.denominator.bit_length() ** 2)
+    check_budget(bits2 // _TEXT_BITS2, DEFAULT_BUDGET_CELLS,
+                 "writing the exact value",
+                 unit=f"cells ({_TEXT_BITS2} squared bits each)")
+    with _integer_text_of_any_size():
+        return str(value)
 
 
 def _cmd_lcs(args: argparse.Namespace, config: ExperimentConfig):
@@ -142,8 +182,7 @@ def _cmd_construct(args: argparse.Namespace, config: ExperimentConfig):
         lines += [f"  {c.mode}{list(c.indices)} <= {c.bound}"
                   for c in out.ceilings]
         return payload, lines
-    report = check_family(out, budget_cells=config.budget_cells,
-                          set_restrict=args.set_restrict)
+    report = check_family(out, budget_cells=config.budget_cells)
     payload["checks"] = [{"ceiling": c.to_json(), "value": v, "ok": ok}
                          for c, v, ok in report]
     lines += [f"  {c.mode}{list(c.indices)} <= {c.bound}: "
@@ -177,16 +216,17 @@ def _cmd_bound_union(args: argparse.Namespace, config: ExperimentConfig):
         approx: Optional[float] = float(value)
     except OverflowError:  # a union bound can pass the float range
         approx = None
+    exact = _exact_text(value)
     return ({"k": args.k, "n": args.n, "m": args.m,
-             "bound": str(value), "float": approx},
-            [f"union bound: {value}"
+             "bound": exact, "float": approx},
+            [f"union bound: {exact}"
              + ("" if approx is None else f" ~ {approx:.6g}")])
 
 
 def _cmd_bound_count(args: argparse.Namespace, config: ExperimentConfig):
     value = role_count(args.n, args.m, args.p, args.z)
     return ({"n": args.n, "m": args.m, "p": args.p, "z": args.z,
-             "count": value}, [f"role words: {value}"])
+             "count": value}, [f"role words: {_exact_text(value)}"])
 
 
 def _cmd_bound_prob(args: argparse.Namespace, config: ExperimentConfig):
@@ -199,9 +239,10 @@ def _cmd_bound_prob(args: argparse.Namespace, config: ExperimentConfig):
     else:
         n, m, p, z = args.n, args.m, args.p, args.z
     value = role_prob(args.k, n, m, p, z)
+    exact = _exact_text(value)
     return ({"k": args.k, "n": n, "m": m, "p": p, "z": z,
-             "probability": str(value), "float": float(value)},
-            [f"probability: {value} ~ {float(value):.6g}"])
+             "probability": exact, "float": float(value)},
+            [f"probability: {exact} ~ {float(value):.6g}"])
 
 
 def _cmd_bound_constants(args: argparse.Namespace, config: ExperimentConfig):
@@ -270,6 +311,15 @@ _SETTINGS = {
                     "lengths",
 }
 
+# Only joint ("set") ceilings charge the cell budget when a family is
+# checked, so of the construct families only those with such ceilings take
+# --budget-cells.
+_JOINT_FAMILIES = ("tuplet",)
+
+
+def _after_the_command(text: str):
+    raise argparse.ArgumentTypeError("a setting goes after the command name")
+
 
 def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
@@ -279,9 +329,17 @@ def build_parser() -> argparse.ArgumentParser:
     output.add_argument("--out", type=str, default=argparse.SUPPRESS,
                         help="write output to this file")
 
+    # a setting given to the root or a group parser is named in the error,
+    # not read as a command name
+    early = argparse.ArgumentParser(add_help=False)
+    for field in _SETTINGS:
+        early.add_argument("--" + field.replace("_", "-"),
+                           type=_after_the_command,
+                           default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+
     root = argparse.ArgumentParser(
         prog="twinlcs",
-        parents=[output],
+        parents=[output, early],
         description="Twins, common subsequences, permutation families, "
                     "and tail bounds.")
     sub = root.add_subparsers(dest="command", required=True)
@@ -330,11 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
                    f"{DEFAULT_EXACT_LENGTH}, oracle {DEFAULT_ORACLE_LENGTH}; "
                    "runs and blocks take any length)")
 
-    p = sub.add_parser("construct", parents=[output],
+    p = sub.add_parser("construct", parents=[output, early],
                        help="build a low-LCS word family")
     fam = p.add_subparsers(dest="family", required=True)
     for name, build in FAMILY_BUILDERS.items():
-        q = leaf(fam, name, _cmd_construct, "budget_cells",
+        settings = ("budget_cells",) if name in _JOINT_FAMILIES else ()
+        q = leaf(fam, name, _cmd_construct, *settings,
                  description=inspect.getdoc(build),
                  formatter_class=argparse.RawDescriptionHelpFormatter)
         # one option per builder parameter, so the dests are its keywords
@@ -348,10 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
                                default=None if required else param.default)
         q.add_argument("--check", action="store_true",
                        help="verify every ceiling numerically")
-        q.add_argument("--set-restrict", type=int, default=None,
-                       help="restrict alphabet before joint-LCS checks")
 
-    p = sub.add_parser("bound", parents=[output],
+    p = sub.add_parser("bound", parents=[output, early],
                        help="tail-bound calculus and constants")
     what = p.add_subparsers(dest="what", required=True)
     q = leaf(what, "theta", _cmd_bound_theta)
@@ -379,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = leaf(what, "constants", _cmd_bound_constants)
     q.add_argument("--k", type=int, required=True)
 
-    p = sub.add_parser("experiment", parents=[output],
+    p = sub.add_parser("experiment", parents=[output, early],
                        help="seeded randomized experiments")
     exp = p.add_subparsers(dest="experiment", required=True)
     q = leaf(exp, "lt-tail", _cmd_lt_tail, "seed", "trials",
@@ -393,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--starts", type=int, default=inspect.signature(
         minimize_expected_lcs).parameters["starts"].default)
 
-    p = leaf(sub, "verify", _cmd_verify, "seed", "budget_cells",
+    p = leaf(sub, "verify", _cmd_verify, "seed",
              help="run a verification suite")
     p.add_argument("suite", choices=SUITES)
 
@@ -420,8 +477,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                                      if k in fields})
         payload, lines, *code = args.func(args, config)
         if given.get("json"):
-            lines = [json.dumps({"schema_version": SCHEMA_VERSION, **payload},
-                                indent=2, sort_keys=True, default=str)]
+            # an exact integer in the payload was charged by _exact_text
+            with _integer_text_of_any_size():
+                lines = [json.dumps({"schema_version": SCHEMA_VERSION,
+                                     **payload},
+                                    indent=2, sort_keys=True, default=str)]
         body = "\n".join(lines) + "\n"
         if given.get("out"):
             Path(given["out"]).write_text(body, encoding="utf-8")

@@ -10,15 +10,17 @@ array, most significant first, and a single ``np.lexsort`` orders every
 position; equal key vectors raise ValueError.  Negating every key
 reverses the word exactly, and deleting letters never increases any
 common-subsequence value, which is how instances restricted to their
-first k letters inherit their ceilings.
+first k letters inherit their ceilings.  A family is restricted only as
+it is built: the quadratic and tuplet builders take such a k, and the
+grid and multipermutation auto modes trim their boxes to k letters.
 
 Each builder returns a :class:`FamilyOutput` carrying the words plus
 the list of certified ceilings (pairwise LCS, LCS against a reversed
 partner, or joint LCS of a subset).  ``check_family`` recomputes every
-ceiling with the LCS engine.  A family of more than four million letters
-in all raises BudgetError before anything is built, and so does a tuplet
-family whose key table for one word, or whose list of ceilings, holds
-more than four million entries.
+ceiling of the words it is given with the LCS engine.  A family of more
+than four million letters in all raises BudgetError before anything is
+built, and so does a tuplet family whose key table for one word, or whose
+list of ceilings, holds more than four million entries.
 """
 
 from __future__ import annotations
@@ -106,22 +108,18 @@ class FamilyOutput(Record):
 
 
 def check_family(out: FamilyOutput, *,
-                 budget_cells: int = DEFAULT_BUDGET_CELLS,
-                 set_restrict: Optional[int] = None
+                 budget_cells: int = DEFAULT_BUDGET_CELLS
                  ) -> list[tuple[Ceiling, int, bool]]:
     """(ceiling, computed value, value <= bound) for every ceiling.
 
     All "lcs" and "rev" ceilings go through one ``pair_lengths`` call, with
     each reversed partner built once, so each word is prepared for the
-    match-point chain at most once.  ``set_restrict`` caps joint-LCS checks
-    by first deleting all letters above the cap from every word; deletion
-    never increases the joint LCS, so the check remains sound for the
-    restricted instance.  A cap below 1 would delete every letter and
-    certify nothing, and a mode other than "lcs", "rev" and "set" names no
-    quantity: ValueError, before any value is computed.
+    match-point chain at most once.  Only the joint "set" ceilings charge
+    ``budget_cells``; a tuplet family too long for them is built with a
+    smaller ``k``, so the words checked are the words printed.  A mode
+    other than "lcs", "rev" and "set" names no quantity: ValueError,
+    before any value is computed.
     """
-    if set_restrict is not None and set_restrict < 1:
-        raise ValueError(f"set_restrict must be >= 1, got {set_restrict}")
     words = list(out.words)
     reversed_at: dict[int, int] = {}  # word index: index of its reversal
     pairs = []
@@ -140,11 +138,8 @@ def check_family(out: FamilyOutput, *,
     report = []
     for ceiling in out.ceilings:
         if ceiling.mode == "set":
-            subset = [out.words[i] for i in ceiling.indices]
-            if set_restrict is not None:
-                subset = [w.restrict(range(1, set_restrict + 1))
-                          for w in subset]
-            value = lcs_multi(subset, witness=False,
+            value = lcs_multi([out.words[i] for i in ceiling.indices],
+                              witness=False,
                               budget_cells=budget_cells).length
         else:
             value = next(lengths)
@@ -225,6 +220,8 @@ def grid_pair(k: Optional[int] = None, s: int = 1, *,
         k2 = -(-k // k1)
     elif k1 is None or k2 is None:
         raise ValueError("give both k1 and k2, or neither")
+    elif k is not None:
+        raise ValueError("give k, or k1 and k2, not both")
     elif k1 < 1 or k2 < 1:
         raise ValueError("grid sides must be >= 1")
     else:
@@ -266,6 +263,8 @@ def multiperm_quadruple(s: int, k1: Optional[int] = None,
             k3 = 2
     elif any(v is None for v in explicit):
         raise ValueError("give all of k1, k2, k3, or none")
+    elif k is not None:
+        raise ValueError("give k, or k1, k2 and k3, not both")
     elif min(k1, k2, k3) < 1:
         raise ValueError("box sides must be >= 1")
     else:
@@ -287,14 +286,17 @@ def multiperm_quadruple(s: int, k1: Optional[int] = None,
                          "auto": auto}, words, ceilings)
 
 
-def tuplet_family(t: int, kappa: int) -> FamilyOutput:
+def tuplet_family(t: int, kappa: int,
+                  k: Optional[int] = None) -> FamilyOutput:
     """2t permutations such that every t of them have joint LCS <= kappa.
 
     One coordinate per t-subset I of {1..2t-1}, each running over
     [kappa].  Word i > 0 sorts coordinate I ascending exactly when
     i is in I; word 0 sorts every coordinate descending.  Any t of the
     words leave exactly one coordinate sorted the same way by all of
-    them, and a joint common subsequence can only move along it.
+    them, and a joint common subsequence can only move along it.  With
+    ``k`` the family is restricted to its first k letters, which keeps
+    its joint checks short.
     """
     if t < 2:
         raise ValueError(f"tuplet order must be >= 2, got {t}")
@@ -316,6 +318,10 @@ def tuplet_family(t: int, kappa: int) -> FamilyOutput:
     # and each of the C(2t, t) ceilings lists t words
     _check_letters(coordinates * size, "key entries per word")
     _check_letters(t * math.comb(2 * t, t), "ceiling indices")
+    if k is None:
+        k = size
+    if not 1 <= k <= size:
+        raise ValueError(f"k must lie in [1, {size}], got {k}")
     index = np.arange(size)
     # one row per coordinate, row-major as np.indices
     powers = kappa ** np.arange(coordinates - 1, -1, -1)
@@ -326,11 +332,12 @@ def tuplet_family(t: int, kappa: int) -> FamilyOutput:
     subsets = np.array(list(itertools.combinations(range(1, 2 * t), t)))
     masks = (1 << subsets).sum(axis=1)
     signs = np.where(masks >> np.arange(2 * t)[:, None] & 1, 1, -1)
-    words = tuple(_sorted_word(letters, row[:, None] * axes, size)
+    words = tuple(_sorted_word(letters, row[:, None] * axes, k)
                   for row in signs)
     ceilings = tuple(Ceiling(subset, "set", kappa)
                      for subset in itertools.combinations(range(2 * t), t))
-    return FamilyOutput("tuplet", {"t": t, "kappa": kappa}, words, ceilings)
+    return FamilyOutput("tuplet", {"t": t, "kappa": kappa, "k": k}, words,
+                        ceilings)
 
 
 def stratified_family(k: int, n: int, ms: Sequence[int]) -> FamilyOutput:

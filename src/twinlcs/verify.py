@@ -96,7 +96,7 @@ def _suite_constructions(config: ExperimentConfig) -> list[CheckResult]:
     def holds(build: Callable, args: tuple, kwargs: dict) -> str:
         out = build(*args, **kwargs)
         built.add(out.family)
-        report = check_family(out, budget_cells=config.budget_cells)
+        report = check_family(out)
         bad = [(c, v) for c, v, ok in report if not ok]
         assert not bad, f"{out.family}{out.params}: ceilings violated {bad}"
         return f"{len(report)} ceilings hold"

@@ -158,6 +158,16 @@ def test_role_count_closed_form():
     assert role_count(4, -1, 0, 0) == 0
 
 
+def test_role_count_is_charged_by_the_size_of_its_count():
+    # C(10^7, 2) has 46 bits however long the words; the count of the
+    # class below has about 1.5 * 10^7 and would take minutes
+    assert role_count(10**7, 1, 0, 0) == math.comb(10**7, 2)
+    start = time.process_time()
+    with pytest.raises(BudgetError, match="^role_count needs 25600000000 "):
+        role_count(10**7, 3 * 10**6, 10**6, 0)
+    assert time.process_time() - start < 0.1
+
+
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_role_count_matches_census(n):
     census = role_census(n)

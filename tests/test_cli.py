@@ -10,10 +10,12 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
 
+from twinlcs import cli
 from twinlcs.bounds import union_bound
 from twinlcs.cli import build_parser, load_word, main
 from twinlcs.constructions import FAMILY_BUILDERS
@@ -260,7 +262,7 @@ ceilings: 6
 """,
     "tuplet --t 2 --kappa 2 --check": """\
 family: tuplet
-params: t=2 kappa=2
+params: t=2 kappa=2 k=8
 words: 4
   k=8;w=8,7,6,5,4,3,2,1
   k=8;w=2,1,4,3,6,5,8,7
@@ -274,7 +276,7 @@ ceilings: 6
   set[1, 3] <= 2: value 2 ok
   set[2, 3] <= 2: value 2 ok
 """,
-    "stratified --k 2 --n 8 --ms 1,4 --set-restrict 1 --check": """\
+    "stratified --k 2 --n 8 --ms 1,4 --check": """\
 family: stratified
 params: k=2 n=8 ms=(1, 4)
 words: 5
@@ -388,13 +390,32 @@ def test_construct_bad_ms_exits_2(capsys):
                    "literal for int() with base 10: 'x'\n")
 
 
-@pytest.mark.parametrize("cap", ["0", "-3"])
-def test_construct_set_restrict_below_one_exits_2(capsys, cap):
-    # such a cap deletes every letter, so each set ceiling would read 0
+def test_construct_tuplet_k_prints_the_words_it_checks(capsys):
+    code, out, err = run(capsys, "--json", "construct", "tuplet", "--t", "3",
+                         "--kappa", "3", "--k", "40", "--check")
+    doc = json.loads(out)
+    assert (code, err) == (0, "") and doc["params"]["k"] == 40
+    assert [len(w["letters"]) for w in doc["words"]] == [40] * 6
+    assert all(w["k"] == 40 for w in doc["words"])
+    assert [c["value"] for c in doc["checks"]] == [3, 3, 3, 2, *[1] * 12,
+                                                   2, 3, 3, 3]
+
+
+@pytest.mark.parametrize("k", ["0", "-3", "1025"])
+def test_construct_tuplet_k_outside_its_letters_exits_2(capsys, k):
+    # k = 0 would delete every letter, so each set ceiling would read 0;
+    # the family has 2^10 letters
     code, out, err = run(capsys, "construct", "tuplet", "--t", "3",
-                         "--kappa", "2", "--check", "--set-restrict", cap)
+                         "--kappa", "2", "--check", "--k", k)
     assert (code, out) == (2, "")
-    assert err == f"error: set_restrict must be >= 1, got {cap}\n"
+    assert err == f"error: k must lie in [1, 1024], got {k}\n"
+
+
+def test_construct_k_with_explicit_sides_exits_2(capsys):
+    code, out, err = run(capsys, "construct", "grid", "--k", "5", "--k1", "3",
+                         "--k2", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: give k, or k1 and k2, not both\n"
 
 
 def _subparsers(parser):
@@ -410,8 +431,7 @@ def test_construct_subcommands_are_the_registry(capsys):
     # each family's options are its builder's parameters, with their
     # defaults, and its help shows the builder's docstring
     families = _subparsers(_subparsers(build_parser())["construct"])
-    shared = {"help", "check", "set_restrict", "budget_cells", "json",
-              "out"}
+    shared = {"help", "check", "budget_cells", "json", "out"}
     for name, build in FAMILY_BUILDERS.items():
         params = inspect.signature(build).parameters.values()
         expected = {p.name: (p.default is p.empty,
@@ -421,6 +441,17 @@ def test_construct_subcommands_are_the_registry(capsys):
                    for a in families[name]._actions if a.dest not in shared}
         assert options == expected, name
         assert inspect.getdoc(build) in families[name].format_help(), name
+
+
+def test_only_families_with_joint_ceilings_take_the_cell_budget(capsys):
+    # checking a joint ("set") ceiling is the only family check that
+    # charges the cell budget; the goldens build one instance of each family
+    families = _subparsers(_subparsers(build_parser())["construct"])
+    for cmd in CONSTRUCT_GOLDEN:
+        code, out, _ = run(capsys, "--json", "construct", *cmd.split())
+        joint = any(c["mode"] == "set" for c in json.loads(out)["ceilings"])
+        dests = {a.dest for a in families[cmd.split()[0]]._actions}
+        assert code == 0 and ("budget_cells" in dests) == joint, cmd
 
 
 def test_construct_over_the_letter_cap_exits_3(capsys):
@@ -497,6 +528,34 @@ def test_bound_union_past_the_float_range(capsys):
     doc = json.loads(out)
     assert code == 0 and doc["float"] is None
     assert Fraction(doc["bound"]) == exact > 10**308
+
+
+@pytest.mark.parametrize("what, values", [
+    ("union", {"k": 10**30, "n": 500, "m": 3}),
+    ("prob", {"k": 10**30, "n": 5000, "m": 3, "p": 0, "z": 0}),
+    ("count", {"n": 100000, "m": 30000, "p": 1000, "z": 0}),
+])
+def test_exact_values_of_any_size(monkeypatch, capsys, what, values):
+    # 29,951, 299,754 and 33,044 bytes of text, past Python's cap of 4300
+    # digits for integer text; the value is computed once, for both runs
+    name, key, label = {"union": ("union_bound", "bound", "union bound"),
+                        "prob": ("role_prob", "probability", "probability"),
+                        "count": ("role_count", "count", "role words")}[what]
+    computed = cache(getattr(cli, name))
+    monkeypatch.setattr(cli, name, computed)
+    argv = ["bound", what]
+    for field, value in values.items():
+        argv += [f"--{field}", str(value)]
+    cap = getattr(sys, "get_int_max_str_digits", lambda: None)
+    before = cap()
+    code, out, _ = run(capsys, *argv)
+    json_code, json_out, _ = run(capsys, "--json", *argv)
+    assert code == json_code == 0 and cap() == before
+    with cli._integer_text_of_any_size():
+        expected = str(computed(*values.values()))
+        assert out.split(" ~ ")[0].rstrip("\n") == f"{label}: {expected}"
+        assert str(json.loads(json_out)[key]) == expected
+    assert len(expected) > 4300 and cap() == before
 
 
 def test_bound_constants(capsys):
@@ -588,12 +647,13 @@ _LEAF_SETTINGS = {
     ("lcs",): {"budget_cells"},
     ("lcs-set",): {"budget_cells"},
     ("twins",): {"budget_nodes"},
-    **{("construct", name): {"budget_cells"} for name in FAMILY_BUILDERS},
+    **{("construct", name): set() for name in FAMILY_BUILDERS},
+    ("construct", "tuplet"): {"budget_cells"},
     **{("bound", what): set() for what in
        ("theta", "threshold", "union", "count", "prob", "constants")},
     ("experiment", "lt-tail"): {"seed", "trials", "budget_nodes"},
     ("experiment", "conjecture"): {"seed"},
-    ("verify",): {"seed", "budget_cells"},
+    ("verify",): {"seed"},
 }
 
 
@@ -613,7 +673,7 @@ def test_each_leaf_takes_only_the_settings_it_reads(capsys):
     parser = build_parser()
     leaves = dict(_leaves(parser))
     assert leaves.keys() == _LEAF_SETTINGS.keys()
-    assert sum(map(len, _LEAF_SETTINGS.values())) == 15
+    assert sum(map(len, _LEAF_SETTINGS.values())) == 9
     for path, leaf in leaves.items():
         argv = _accepted_argv(path, leaf)
         assert parser.parse_args(argv).func is leaf.get_default("func")
@@ -633,6 +693,22 @@ def test_each_leaf_takes_only_the_settings_it_reads(capsys):
                     parser.parse_args(bad)
                 assert exc.value.code == 2, bad
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("field", list(inspect.signature(
+    ExperimentConfig).parameters))
+@pytest.mark.parametrize("head, tail", [
+    ((), ("verify", "roles")),  # under the root
+    (("experiment",), ("conjecture", "--k", "2")),  # under a group
+])
+def test_a_setting_before_the_command_is_named(capsys, field, head, tail):
+    flag = "--" + field.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        main([*head, flag, "5", *tail])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.endswith(f"error: argument {flag}: a setting goes after the "
+                        "command name\n"), err
 
 
 def test_experiment_conjecture(capsys):
@@ -659,7 +735,6 @@ def test_verify_suite(capsys):
 
 
 def test_one_parser_per_process_keeps_no_state(monkeypatch, capsys):
-    from twinlcs import cli
     builds, seeds = [], []
 
     def counted_build():
@@ -778,6 +853,16 @@ _HUGE = str(10**400)
     pytest.param(("bound", "prob", "--k", "2", "--n", str(10**18), "--m", "1",
                   "--p", "0", "--z", "0"), 3,
                  "budget exceeded: role_prob needs ", id="prob-n"),
+    # role_prob's budget admits this value, but its 2.1 million digits of
+    # text would take about a minute
+    pytest.param(("bound", "prob", "--k", "2", "--n", str(7 * 10**6),
+                  "--m", "1", "--p", "0", "--z", "0"), 3,
+                 "budget exceeded: writing the exact value needs 2450000000 "
+                 "cells (20000 squared bits each)", id="prob-text"),
+    pytest.param(("bound", "count", "--n", str(10**7), "--m", str(3 * 10**6),
+                  "--p", str(10**6), "--z", "0"), 3,
+                 "budget exceeded: role_count needs 25600000000 cells ",
+                 id="count-n"),
     # a count of more than 4300 digits is written by its size
     pytest.param(("bound", "union", "--k", "2", "--n", str(10**1500),
                   "--m", "3"), 3,

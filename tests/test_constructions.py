@@ -160,6 +160,8 @@ def test_grid_validation():
         grid_pair(s=0, k=4)
     with pytest.raises(ValueError):
         grid_pair(k1=2)  # k2 missing
+    with pytest.raises(ValueError, match="give k, or k1 and k2, not both"):
+        grid_pair(5, 1, k1=3, k2=3)  # k would be silently 9
 
 
 # -- multiperm -------------------------------------------------------------------
@@ -198,6 +200,9 @@ def test_multiperm_auto():
 def test_multiperm_validation():
     with pytest.raises(ValueError):
         multiperm_quadruple(0, 1, 1, 1)
+    with pytest.raises(ValueError,
+                       match="give k, or k1, k2 and k3, not both"):
+        multiperm_quadruple(1, 2, 2, 2, k=3)  # k would be silently 8
     with pytest.raises(ValueError):
         multiperm_quadruple(1, 2, None, 2)
     with pytest.raises(ValueError):
@@ -428,19 +433,27 @@ def test_check_family_reverses_each_partner_once(monkeypatch):
                       lcs_len(b, b.reversed()), lcs_len(b, a.reversed())]
 
 
-def test_set_restrict_never_increases_value():
-    out = tuplet_family(2, 2)
-    full = check_family(out)
-    restricted = check_family(out, set_restrict=4)
-    for (_, v_full, _), (_, v_restr, _) in zip(full, restricted):
-        assert v_restr <= v_full
+@pytest.mark.parametrize("t, kappa, k", [(2, 2, 4), (2, 3, 13), (3, 2, 40)])
+def test_tuplet_k_never_increases_value(t, kappa, k):
+    full = tuplet_family(t, kappa)
+    out = tuplet_family(t, kappa, k)
+    assert out.params == {"t": t, "kappa": kappa, "k": k}
+    assert out.ceilings == full.ceilings
+    first_k = [w.restrict(range(1, k + 1)) for w in full.words]
+    assert [w.letters for w in out.words] == [w.letters for w in first_k]
+    assert all(w.k == k for w in out.words)
+    for (c, v_full, _), (_, v_restr, ok) in zip(check_family(full),
+                                                check_family(out)):
+        assert ok and v_restr <= v_full
+        assert v_restr == lcs_multi([first_k[i] for i in c.indices],
+                                    witness=False).length
 
 
-def test_set_restrict_below_one_rejected():
-    out = tuplet_family(3, 2)
-    for cap in (0, -3):
-        with pytest.raises(ValueError, match=f"got {cap}$"):
-            check_family(out, set_restrict=cap)
+def test_tuplet_k_outside_its_letters_rejected():
+    # k = 0 would delete every letter and certify nothing
+    for k in (0, -3, 1025):
+        with pytest.raises(ValueError, match=rf"\[1, 1024\], got {k}$"):
+            tuplet_family(3, 2, k)
 
 
 def test_param_lookup():
@@ -486,8 +499,8 @@ def test_pinned_word_digests(build, digest):
 
 # sha256 of the whole JSON output, words, params and ceilings alike
 @pytest.mark.parametrize("build, digest", [
-    pytest.param(lambda: tuplet_family(5, 1), "961de84569f71b87cf23f393f6bc"
-                 "15ac4566d620d2953ae28fad376013916a32", id="tuplet-5-1"),
+    pytest.param(lambda: tuplet_family(5, 1), "3a2c037297187e1810b7002fb622"
+                 "006bbe8d644248c9bee45a8d4b49993c951a", id="tuplet-5-1"),
     pytest.param(lambda: stratified_family(3, 18, (1, 3, 6)), "591a76a977d0"
                  "76f530885d9997cda3757aa298ffb03b7432d605784d391826c5",
                  id="stratified-3-18"),

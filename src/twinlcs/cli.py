@@ -74,15 +74,20 @@ def _integer_text_of_any_size():
 _TEXT_BITS2 = 20_000
 
 
-def _exact_text(value) -> str:
-    """An exact integer or rational in full, its text charged against
-    ``DEFAULT_BUDGET_CELLS`` first: role_prob's budget admits values whose
-    text would take minutes."""
+def _charge_text(value) -> None:
+    """Charge the text of an exact integer or rational against
+    ``DEFAULT_BUDGET_CELLS``: role_prob's budget admits values whose text
+    would take minutes."""
     bits2 = (value.numerator.bit_length() ** 2
              + value.denominator.bit_length() ** 2)
     check_budget(bits2 // _TEXT_BITS2, DEFAULT_BUDGET_CELLS,
                  "writing the exact value",
                  unit=f"cells ({_TEXT_BITS2} squared bits each)")
+
+
+def _exact_text(value) -> str:
+    """An exact integer or rational in full, its text charged first."""
+    _charge_text(value)
     with _integer_text_of_any_size():
         return str(value)
 
@@ -225,8 +230,12 @@ def _cmd_bound_union(args: argparse.Namespace, config: ExperimentConfig):
 
 def _cmd_bound_count(args: argparse.Namespace, config: ExperimentConfig):
     value = role_count(args.n, args.m, args.p, args.z)
-    return ({"n": args.n, "m": args.m, "p": args.p, "z": args.z,
-             "count": value}, [f"role words: {_exact_text(value)}"])
+    payload = {"n": args.n, "m": args.m, "p": args.p, "z": args.z,
+               "count": value}
+    if vars(args).get("json"):  # main writes the count, once
+        _charge_text(value)
+        return payload, []
+    return payload, [f"role words: {_exact_text(value)}"]
 
 
 def _cmd_bound_prob(args: argparse.Namespace, config: ExperimentConfig):
@@ -306,9 +315,11 @@ _SETTINGS = {
                     "state may leave 110-120 bytes of failure memo, so the "
                     "default can hold about 0.6 GB",
     "budget_cells": "cap on LCS work: a pair witness keeps m+1 bit rows and "
-                    "is charged (n+1)(m+1) cells; three or more words are "
-                    "charged dense table cells, or chain steps for joint "
-                    "lengths",
+                    "is charged (n+1)(m+1) cells; a witness of three or "
+                    "more words is charged dense table cells; the joint "
+                    "lengths of one query or one family check are charged "
+                    "together, each the cheaper of table cells and chain "
+                    "steps, with a floor per subset",
 }
 
 # Only joint ("set") ceilings charge the cell budget when a family is

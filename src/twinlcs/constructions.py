@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DEFAULT_BUDGET_CELLS, BudgetError, Record
-from .lcs import lcs_multi, pair_lengths
+from .lcs import subset_lengths
 from .words import Word
 
 
@@ -112,39 +112,32 @@ def check_family(out: FamilyOutput, *,
                  ) -> list[tuple[Ceiling, int, bool]]:
     """(ceiling, computed value, value <= bound) for every ceiling.
 
-    All "lcs" and "rev" ceilings go through one ``pair_lengths`` call, with
-    each reversed partner built once, so each word is prepared for the
+    Every ceiling goes through one ``subset_lengths`` call, with each
+    reversed partner built once, so each word is prepared for the
     match-point chain at most once.  Only the joint "set" ceilings charge
-    ``budget_cells``; a tuplet family too long for them is built with a
+    ``budget_cells``, all together, and the call refuses before it
+    computes any value; a tuplet family too long for them is built with a
     smaller ``k``, so the words checked are the words printed.  A mode
     other than "lcs", "rev" and "set" names no quantity: ValueError,
     before any value is computed.
     """
     words = list(out.words)
     reversed_at: dict[int, int] = {}  # word index: index of its reversal
-    pairs = []
+    subsets = []
     for ceiling in out.ceilings:
-        if ceiling.mode == "lcs":
-            pairs.append(ceiling.indices)
-        elif ceiling.mode == "rev":
+        if ceiling.mode == "rev":
             i, j = ceiling.indices
             if j not in reversed_at:
                 reversed_at[j] = len(words)
                 words.append(out.words[j].reversed())
-            pairs.append((i, reversed_at[j]))
-        elif ceiling.mode != "set":
-            raise ValueError(f"unknown ceiling mode {ceiling.mode!r}")
-    lengths = iter(pair_lengths(words, pairs))
-    report = []
-    for ceiling in out.ceilings:
-        if ceiling.mode == "set":
-            value = lcs_multi([out.words[i] for i in ceiling.indices],
-                              witness=False,
-                              budget_cells=budget_cells).length
+            subsets.append((i, reversed_at[j]))
+        elif ceiling.mode in ("lcs", "set"):
+            subsets.append(ceiling.indices)
         else:
-            value = next(lengths)
-        report.append((ceiling, value, value <= ceiling.bound))
-    return report
+            raise ValueError(f"unknown ceiling mode {ceiling.mode!r}")
+    values = subset_lengths(words, subsets, budget_cells=budget_cells)
+    return [(ceiling, value, value <= ceiling.bound)
+            for ceiling, value in zip(out.ceilings, values)]
 
 
 # -- concrete families -------------------------------------------------------

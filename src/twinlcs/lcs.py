@@ -6,11 +6,14 @@ counts before any per-point work: a bit-parallel row DP (big-int rows, one
 pass per letter of the second word) that keeps its last row only, or the
 longest chain of the pair's match points by patience sorting, for sparse
 pairs such as permutations.  ``pair_lengths`` computes the lengths of many
-pairs of one word list, and ``lcs_len`` is its one-pair case;
-``check_family`` and ``set_lcs_stats`` send all their pairs through one call.
-The chain's setup is shared within that call only: each word becomes one
-letter array, and each word that comes second in a pair is listed by letter
-once, so a family of m words is prepared m times, not m(m - 1) times.
+pairs of one word list, and ``lcs_len`` is its one-pair case.
+``subset_lengths`` is the front door for the lengths of many word subsets
+(one index, a pair, or three or more words): ``lcs_multi`` (length only),
+``check_family`` and ``set_lcs_stats`` each make one call, whose pairs go
+through one ``pair_lengths`` call.  The chain's setup is shared within
+that call only: each word becomes one letter array, and each word that
+comes second in a pair is listed by letter once, so a family of m words
+is prepared m times, not m(m - 1) times.
 A pair witness always comes from bit rows: the DP runs over the reversed
 words and keeps all len(b)+1 rows, from which any suffix value
 LCS(a[i:], b[j:]) is one masked popcount.  Three or more words take one
@@ -20,9 +23,9 @@ points (Hunt & Szymanski 1977), with M**2 steps for M match points.  The chain
 is taken when M**2 is below the cell count, as for permutations (M = n) and
 for multipermutations with few copies of each letter; the budget then counts
 M**2 instead of cells.  Their witnesses come from the dense table.
-Each query is charged once, by ``lcs_multi`` for the route it takes, or
-by ``set_lcs_stats`` for all its subsets together; the budget and its
-check live in ``errors.py``.
+Joint lengths are charged in ``subset_lengths`` alone, all the subsets of
+one call together and each at least a floor; a witness is charged by
+``lcs_multi``.  The budget and its check live in ``errors.py``.
 Witnesses follow the leftmost-greedy convention: among optimal alignments, the
 one whose flattened index sequence (i1, j1, i2, j2, ...) is lexicographically
 smallest.  One first-occurrence walk reads them off the suffix values, from
@@ -34,10 +37,9 @@ results are deterministic; nothing here keeps mutable state.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import prod
+from math import comb, prod
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -152,8 +154,8 @@ def pair_lengths(words: Sequence[Word],
     the whole call: each becomes one letter array, and each word that
     comes second in such a pair is listed once and serves all its pairs
     before the next is listed, so the call holds one listing at a time and
-    its memory stays linear in the words.  Shared with ``check_family``;
-    the package does not export it.
+    its memory stays linear in the words.  Serves ``lcs_len`` and
+    ``subset_lengths``; the package does not export it.
     """
     _require_common_alphabet(words)
     lengths: list[int] = []
@@ -229,20 +231,23 @@ def _positions(word: Word) -> dict[int, list[int]]:
     return at
 
 
-def _length_cost(words: Sequence[Word]) -> tuple[int, bool]:
-    """Budget charge of a joint length query of three or more words, and
-    whether the match-point chain serves it: the chain's M**2 steps when
-    that is below the prod(len(w)+1) cells of the dense table."""
+def _length_cost(words: Sequence[Word], where: Sequence[dict[int, list[int]]]
+                 ) -> tuple[int, bool]:
+    """Budget charge of a joint length query of three or more words, given
+    the ``_positions`` of each, and whether the match-point chain serves
+    it: the chain's M**2 steps when that is below the prod(len(w)+1) cells
+    of the dense table."""
     cells = prod(len(w) + 1 for w in words)
-    counts = [Counter(w.letters) for w in words]
-    points = sum(prod(cnt[c] for cnt in counts) for c in counts[0])
+    points = sum(prod(len(at.get(c, ())) for at in where) for c in where[0])
     if points * points < cells:
         return points * points, True
     return cells, False
 
 
-def _chain_length(words: Sequence[Word]) -> int:
-    """Joint LCS of three or more words as the longest chain of match points.
+def _chain_length(words: Sequence[Word],
+                  where: Sequence[dict[int, list[int]]]) -> int:
+    """Joint LCS of three or more words, given the ``_positions`` of each,
+    as the longest chain of match points.
 
     A match point takes one position in each word, all carrying one
     letter; a common subsequence is a chain of match points that grows
@@ -251,12 +256,10 @@ def _chain_length(words: Sequence[Word]) -> int:
     form a prefix, and the longest chain ending at each point is one array
     step over that prefix: M steps of O(M) work.
     """
-    first = words[0].letters
-    where = [_positions(w) for w in words[1:]]
     tails: list[tuple[int, ...]] = []
     starts: list[int] = []  # index of the first point sharing the position
-    for c in first:
-        group = list(product(*(at.get(c, ()) for at in where)))
+    for c in words[0].letters:
+        group = list(product(*(at.get(c, ()) for at in where[1:])))
         starts += [len(tails)] * len(group)
         tails += group
     if not tails:
@@ -288,6 +291,72 @@ def _suffix_table(words: Sequence[Word]) -> np.ndarray:
             base[:-1] = np.maximum(base[:-1], np.where(last_v == c, 1 + diag[1:], 0))
         S[idx] = np.flip(np.maximum.accumulate(np.flip(base)))
     return S
+
+
+# A subset of three or more words is charged at least _SUBSET_CELLS cells:
+# listing, costing and computing one subset of one-letter words took 13-27
+# us (set_lcs_stats at t = 3, 5 and 10, check_family of tuplet_family(8 or
+# 10, 1)) against 30-52 ns a cell (lcs_multi of three random words of
+# 150-250 letters over 4), one core of a 2-core Xeon VM, Python 3.11,
+# numpy 2.4.  At this floor the 184,756 ceilings of tuplet_family(10, 1)
+# fit the default budget.
+_SUBSET_CELLS = 500
+
+
+def _charge_joint(needed: int, budget_cells: int) -> None:
+    """The budget check of joint lengths of three or more words."""
+    check_budget(needed, budget_cells, "joint LCS of three or more words",
+                 hint=_RAISE_BUDGET, unit="cells and chain steps")
+
+
+def subset_lengths(words: Sequence[Word], subsets: Sequence[Sequence[int]],
+                   *, budget_cells: int) -> list[int]:
+    """Joint LCS length of the words at each index tuple of ``subsets``,
+    all the words over one alphabet.
+
+    One index gives that word's length, and the pairs go through one
+    ``pair_lengths`` call, free of the budget.  Three or more words take
+    the cheaper of the dense suffix table and the match-point chain, as
+    ``_length_cost`` finds from the ``_positions`` of each word, listed
+    once per call.  These subsets are charged together against
+    ``budget_cells``: each at least _SUBSET_CELLS, which is charged for
+    all of them before any is costed, plus the excess of its route's cost
+    as it is costed.  The call refuses at the first overshoot, before any
+    length is computed.  Shared by ``lcs_multi``, ``check_family`` and
+    ``set_lcs_stats``; the package does not export it.
+    """
+    _require_common_alphabet(words)
+    lengths = [0] * len(subsets)
+    pairs: dict[int, tuple[int, int]] = {}  # slot: pair
+    joint: list[int] = []  # slots of three or more words
+    for slot, subset in enumerate(subsets):
+        if len(subset) == 1:
+            lengths[slot] = len(words[subset[0]])
+        elif len(subset) == 2:
+            pairs[slot] = tuple(subset)
+        else:
+            joint.append(slot)
+    spent = len(joint) * _SUBSET_CELLS
+    _charge_joint(spent, budget_cells)
+    positions: dict[int, dict[int, list[int]]] = {}  # word index: positions
+    chains: list[bool] = []  # whether the chain serves each joint slot
+    for slot in joint:
+        for i in subsets[slot]:
+            if i not in positions:
+                positions[i] = _positions(words[i])
+        cost, chain = _length_cost([words[i] for i in subsets[slot]],
+                                   [positions[i] for i in subsets[slot]])
+        chains.append(chain)
+        spent += max(cost - _SUBSET_CELLS, 0)
+        _charge_joint(spent, budget_cells)
+    for slot, value in zip(pairs, pair_lengths(words, list(pairs.values()))):
+        lengths[slot] = value
+    for slot, chain in zip(joint, chains):
+        group = [words[i] for i in subsets[slot]]
+        lengths[slot] = (
+            _chain_length(group, [positions[i] for i in subsets[slot]])
+            if chain else _suffix_table(group).item((0,) * len(group)))
+    return lengths
 
 
 def _walk_witness(words: Sequence[Word], value: Callable[[tuple[int, ...]], int]
@@ -363,47 +432,30 @@ def lcs_reversible(a: Word, b: Word, *, witness: bool = False,
     return ReversibleResult(length, orientation, detail)
 
 
-def _joint_length(words: Sequence[Word], chain: bool) -> int:
-    """Joint LCS length of three or more words by the route that
-    ``_length_cost`` picked for them; the caller has charged it."""
-    if chain:
-        return _chain_length(words)
-    return _suffix_table(words).item((0,) * len(words))
-
-
 def lcs_multi(words: Sequence[Word], *, witness: bool = True,
               budget_cells: int = DEFAULT_BUDGET_CELLS) -> LcsResult:
     """Joint LCS of two or more words, with the leftmost-greedy witness
     unless ``witness`` is False.
 
-    Two words take the bit-parallel row DP.  A length keeps one row, so no
-    budget applies to it.  A witness keeps len(b)+1 rows of len(a) bits and
-    is still charged the (len(a)+1)(len(b)+1) cells of the suffix values it
-    reads, which must fit ``budget_cells``.  Three or more words take the
-    dense suffix table, whose prod(len(w)+1) cells must fit the budget;
-    length-only queries take the cheaper of that table and the match-point
-    chain: the chain when the square of the number M of match points is
-    below the cell count, and then M**2 is what must fit the budget.
+    A length is one ``subset_lengths`` call with one subset: two words
+    take a pair route and no budget, three or more the cheaper of the dense
+    table and the match-point chain, charged as that call charges them.  A
+    pair witness keeps len(b)+1 bit rows of len(a) bits and is still
+    charged the (len(a)+1)(len(b)+1) cells of the suffix values it reads;
+    a witness of three or more words takes the dense suffix table, whose
+    prod(len(w)+1) cells must fit ``budget_cells``.
     """
     words = list(words)
     if len(words) < 1:
         raise ValueError("need at least one word")
     _require_common_alphabet(words)
-    if len(words) == 2 and not witness:  # bit-parallel rows, no table
-        return LcsResult(lcs_len(words[0], words[1]))
+    if not witness:
+        return LcsResult(subset_lengths(words, [range(len(words))],
+                                        budget_cells=budget_cells)[0])
     shortest = min(words, key=len)
     if len(words) == 1 or not shortest:  # the answer is the shortest word
-        if not witness:
-            return LcsResult(len(shortest))
         return LcsResult(len(shortest), shortest,
                          (tuple(range(len(shortest))),) * len(words))
-    if not witness:
-        cost, chain = _length_cost(words)
-        what, unit = (("match-point chain", "steps (match points squared)")
-                      if chain else ("alignment", "alignment cells"))
-        check_budget(cost, budget_cells, f"{len(words)}-way {what}",
-                     hint=_RAISE_BUDGET, unit=unit)
-        return LcsResult(_joint_length(words, chain))
     # only a two-word witness has a length-only route with no budget
     check_budget(prod(len(w) + 1 for w in words), budget_cells,
                  f"{len(words)}-way alignment",
@@ -432,38 +484,34 @@ def set_lcs_stats(words: Sequence[Word], t: int, *,
                   budget_cells: int = DEFAULT_BUDGET_CELLS) -> SetLcsStats:
     """Pairwise LCS matrix and max joint LCS over subsets of size t.
 
-    The pairwise values come from one ``pair_lengths`` call, so each word
-    is prepared for the match-point chain at most once.  For t >= 3 the budget covers all subsets together, each charged what
-    the route ``lcs_multi`` picks for it costs, and at least one unit, so
-    the budget also bounds the subsets visited; the charge is summed, and
-    refused at the first overshoot, before any subset is computed.
+    The pairs, and for t >= 3 the t-subsets, go through one
+    ``subset_lengths`` call, so each word is prepared for the pair chain
+    and listed by letter at most once, and the t-subsets are charged
+    together, at least _SUBSET_CELLS each.  C(n, t) of them at that floor
+    are charged before any is listed, so an over-budget t is refused at
+    once; the call then refuses at the first overshoot, before any length
+    is computed.  The best subset is the first of the largest value.
     """
     words = list(words)
     if not 1 <= t <= len(words):
         raise ValueError(f"subset size {t} out of range for {len(words)} words")
     n = len(words)
+    if t >= 3:  # the floor of every subset, before any is listed
+        _charge_joint(comb(n, t) * _SUBSET_CELLS, budget_cells)
+    pairs = list(combinations(range(n), 2))
+    subsets = list(combinations(range(n), t))
+    joint = subsets if t >= 3 else []
+    lengths = subset_lengths(words, pairs + joint, budget_cells=budget_cells)
     table = [[0] * n for _ in range(n)]
     for i in range(n):
         table[i][i] = len(words[i])
-    pairs = list(combinations(range(n), 2))
-    for (i, j), value in zip(pairs, pair_lengths(words, pairs)):
+    for (i, j), value in zip(pairs, lengths):
         table[i][j] = table[j][i] = value
-    if t <= 2:  # the table holds single lengths and pair values
-        values = (table[c[0]][c[-1]] for c in combinations(range(n), t))
-    else:
-        # charge every subset before computing any, refusing at the first
-        # overshoot; only each subset's route is kept for the second pass
-        spent, chains = 0, bytearray()
-        for combo in combinations(range(n), t):
-            cost, chain = _length_cost([words[i] for i in combo])
-            spent += max(cost, 1)  # a chain over no match points is free
-            check_budget(spent, budget_cells, f"joint LCS over {t}-subsets",
-                         hint=_RAISE_BUDGET, unit="cells and chain steps")
-            chains.append(chain)
-        values = (_joint_length([words[i] for i in c], chain)
-                  for c, chain in zip(combinations(range(n), t), chains))
+    # for t <= 2 the table holds single lengths and pair values
+    values = (lengths[len(pairs):] if joint
+              else [table[c[0]][c[-1]] for c in subsets])
     value, subset = -1, ()
-    for combo, got in zip(combinations(range(n), t), values):
+    for combo, got in zip(subsets, values):
         if got > value:
             value, subset = got, combo
     frozen = tuple(tuple(r) for r in table)

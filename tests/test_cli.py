@@ -4,6 +4,7 @@ import argparse
 import doctest
 import inspect
 import json
+import math
 import re
 import shlex
 import subprocess
@@ -20,7 +21,7 @@ from twinlcs.bounds import union_bound
 from twinlcs.cli import build_parser, load_word, main
 from twinlcs.constructions import FAMILY_BUILDERS
 from twinlcs.experiments import ExperimentConfig
-from twinlcs.lcs import DEFAULT_BUDGET_CELLS
+from twinlcs.lcs import _SUBSET_CELLS, DEFAULT_BUDGET_CELLS
 from twinlcs.perm import minimize_expected_lcs
 from twinlcs.twins import DEFAULT_NODE_BUDGET
 from twinlcs.verify import verify_suite
@@ -513,6 +514,23 @@ def test_bound_union_count_prob(capsys):
     assert err == "error: alphabet size must be >= 1, got 0\n"
 
 
+def test_bound_count_writes_its_count_once(monkeypatch, capsys):
+    # each form charges the count's text, then converts it once: under
+    # --json in main, with no text line built
+    events = []
+    charge, lift = cli.check_budget, cli._integer_text_of_any_size
+    monkeypatch.setattr(cli, "check_budget", lambda *args, **kwargs: (
+        events.append("charge") or charge(*args, **kwargs)))
+    monkeypatch.setattr(cli, "_integer_text_of_any_size", lambda: (
+        events.append("convert") or lift()))
+    argv = ["bound", "count", "--n", "12", "--m", "4", "--p", "2", "--z", "1"]
+    for head in ([], ["--json"]):
+        events.clear()
+        code, out, _ = run(capsys, *head, *argv)
+        assert code == 0 and events == ["charge", "convert"], head
+    assert json.loads(out)["count"] == 5940
+
+
 def test_bound_union_past_the_float_range(capsys):
     # at k = 2 and m = 470 the bound still fits a float at n = 1330, not at
     # n = 1340
@@ -863,6 +881,12 @@ _HUGE = str(10**400)
                   "--p", str(10**6), "--z", "0"), 3,
                  "budget exceeded: role_count needs 25600000000 cells ",
                  id="count-n"),
+    # C(30, 15) ~ 1.6e8 subsets of one-letter words, refused by their count
+    # before any is listed; their walk once took about half an hour
+    pytest.param(("lcs-set", *["1"] * 30, "--t", "15"), 3,
+                 "budget exceeded: joint LCS of three or more words needs "
+                 f"{math.comb(30, 15) * _SUBSET_CELLS} cells and chain steps",
+                 id="lcs-set-t"),
     # a count of more than 4300 digits is written by its size
     pytest.param(("bound", "union", "--k", "2", "--n", str(10**1500),
                   "--m", "3"), 3,

@@ -31,7 +31,7 @@ from twinlcs import (
     stratified_family,
     tuplet_family,
 )
-from twinlcs import constructions
+from twinlcs import constructions, lcs
 from twinlcs.constructions import _is_prime, _sorted_word
 
 
@@ -233,6 +233,25 @@ def test_tuplet_t3_full_alphabet():
     report = check_family(out)
     assert len(report) == 20
     assert all(c.mode == "set" and value <= 2 for c, value, _ in report)
+
+
+def test_tuplet_joint_ceilings_are_charged_together(monkeypatch):
+    # each of the 20 triples of 1024-letter permutations is a chain of
+    # 1024^2 steps, and one call charges all of them before any is computed
+    computed = []
+    for name in ("_chain_length", "_suffix_table"):
+        route = getattr(lcs, name)
+        monkeypatch.setattr(lcs, name, lambda *args, route=route: (
+            computed.append(args) or route(*args)))
+    out = tuplet_family(3, 2)
+    with pytest.raises(BudgetError, match="^joint LCS of three or more words "
+                                          "needs 20971520 cells and chain "
+                                          "steps, over the budget of "
+                                          "20971519; raise budget_cells$"):
+        check_family(out, budget_cells=20_971_519)
+    assert computed == []
+    report = assert_all_hold(out, budget_cells=20_971_520)
+    assert len(computed) == 20 and max(v for _, v, _ in report) == 2
 
 
 def test_tuplet_budget_and_validation():

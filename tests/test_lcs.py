@@ -26,8 +26,9 @@ from twinlcs import (
     substream,
 )
 from twinlcs import lcs
-from twinlcs.lcs import (_chain_length, _length_cost, _letter_arrays, _listing,
-                         _pair_chain, _row_dp, pair_lengths)
+from twinlcs.lcs import (_SUBSET_CELLS, _chain_length, _length_cost,
+                         _letter_arrays, _listing, _pair_chain, _positions,
+                         _row_dp, pair_lengths, subset_lengths)
 
 pairs = st.integers(2, 4).flatmap(
     lambda k: st.tuples(
@@ -400,7 +401,8 @@ permutation_sets = st.integers(1, 7).flatmap(
 @given(permutation_sets)
 def test_multi_length_of_permutations_takes_the_chain(ws):
     # n match points against (n+1)^r cells: the chain always serves these
-    assert _length_cost(ws) == (len(ws[0]) ** 2, True)
+    assert _length_cost(ws, [_positions(w) for w in ws]) == (
+        len(ws[0]) ** 2, True)
     res = lcs_multi(ws, witness=False)
     assert res.length == brute_lcs_multi([w.letters for w in ws])
 
@@ -415,17 +417,22 @@ small_multis = st.integers(1, 3).flatmap(
 def test_multi_length_both_routes_match_brute_force(ws):
     expected = brute_lcs_multi([w.letters for w in ws])
     assert lcs_multi(ws, witness=False).length == expected
-    assert _chain_length(ws) == expected  # whichever route the cost picks
+    # whichever route the cost picks
+    assert _chain_length(ws, [_positions(w) for w in ws]) == expected
 
 
 def test_length_route_follows_the_cost():
     perm = Word(tuple(range(1, 41)), 40)
-    assert _length_cost([perm] * 3) == (1600, True)
+    assert _length_cost([perm] * 3, [_positions(perm)] * 3) == (1600, True)
     ones = Word((1,) * 20, 2)
-    assert _length_cost([ones] * 3) == (21 ** 3, False)  # 8000 points
+    # 8000 points
+    assert _length_cost([ones] * 3, [_positions(ones)] * 3) == (21 ** 3,
+                                                                False)
     # the chain charges M^2 to the budget, in lcs_multi and per subset
     assert lcs_multi([perm] * 3, witness=False, budget_cells=1600).length == 40
-    with pytest.raises(BudgetError, match="3-way match-point chain .*; "
+    with pytest.raises(BudgetError, match="^joint LCS of three or more words "
+                                          "needs 1600 cells and chain steps, "
+                                          "over the budget of 1599; "
                                           "raise budget_cells$"):
         lcs_multi([perm] * 3, witness=False, budget_cells=1599)
     assert set_lcs_stats([perm] * 4, 3, budget_cells=4 * 1600).value == 40
@@ -452,54 +459,106 @@ def test_set_stats_cube_quadruple_past_the_dense_budget():
     assert set_lcs_stats(cube_quadruple(11).words, 3).value == 1
 
 
-def test_set_stats_costs_each_subset_once(monkeypatch):
+def spy(monkeypatch, name):
+    """Calls of the ``twinlcs.lcs`` function ``name``, which still runs."""
     calls = []
-    counted = lcs._length_cost
-    monkeypatch.setattr(lcs, "_length_cost",
-                        lambda words: calls.append(1) or counted(words))
+    counted = getattr(lcs, name)
+    monkeypatch.setattr(lcs, name,
+                        lambda *args: calls.append(args) or counted(*args))
+    return calls
+
+
+def test_set_stats_costs_each_subset_once(monkeypatch):
+    costed = spy(monkeypatch, "_length_cost")
+    listed = spy(monkeypatch, "_positions")
     stats = set_lcs_stats(cube_quadruple(5).words, 3)
-    assert len(calls) == 4  # one per 3-subset of the four words
+    assert len(costed) == 4  # one per 3-subset of the four words
+    assert len(listed) == 4  # one per word, not one per word and subset
     assert stats.pairwise == tuple(
         tuple(125 if i == j else 5 for j in range(4)) for i in range(4))
     assert (stats.value, stats.best_subset) == (1, (0, 1, 2))
 
 
 def test_set_stats_refuses_before_any_joint_length(monkeypatch):
-    calls = []
-    monkeypatch.setattr(lcs, "_joint_length",
-                        lambda words, chain: calls.append(1))
+    spies = [spy(monkeypatch, name)
+             for name in ("_chain_length", "_suffix_table", "pair_lengths")]
     words = [sample_word(2, 200, 0, index=i) for i in range(4)]
-    # four dense 201^3-cell subsets: the third passes the budget
-    with pytest.raises(BudgetError, match=f"needs {3 * 201 ** 3} cells .*; "
-                                          "raise budget_cells$"):
+    # four dense 201^3-cell subsets: the third passes the budget, with the
+    # floor of the fourth; no length, not even a pair's, is computed
+    with pytest.raises(BudgetError, match=f"needs {3 * 201 ** 3 + _SUBSET_CELLS}"
+                                          " cells .*; raise budget_cells$"):
         set_lcs_stats(words, 3, budget_cells=2 * 10**7)
-    assert calls == []
+    assert spies == [[], [], []]
 
 
 def test_set_stats_refuses_at_the_first_overshooting_subset(monkeypatch):
-    calls = []
-    counted = lcs._length_cost
-    monkeypatch.setattr(lcs, "_length_cost",
-                        lambda words: calls.append(1) or counted(words))
+    costed = spy(monkeypatch, "_length_cost")
+    words = [sample_word(2, 10, 0, index=i) for i in range(16)]
+    # the floors of the C(16, 8) = 12870 subsets fit the budget; the first
+    # subset alone needs 11^8 cells
+    with pytest.raises(BudgetError, match="needs "
+                       f"{12870 * _SUBSET_CELLS + 11 ** 8 - _SUBSET_CELLS} "
+                       "cells"):
+        set_lcs_stats(words, 8)
+    assert len(costed) == 1
+
+
+def test_set_stats_refuses_by_count_before_listing(monkeypatch):
+    listed = spy(monkeypatch, "combinations")
+    costed = spy(monkeypatch, "_length_cost")
     words = [sample_word(2, 10, 0, index=i) for i in range(30)]
-    # C(30, 15) ~ 1.6e8 subsets; the first alone needs 11^15 cells
-    with pytest.raises(BudgetError, match=f"needs {11 ** 15} cells"):
+    # C(30, 15) ~ 1.6e8 subsets: their floors alone are over the budget
+    with pytest.raises(BudgetError,
+                       match=f"needs {math.comb(30, 15) * _SUBSET_CELLS} "):
         set_lcs_stats(words, 15)
-    assert len(calls) == 1
+    assert listed == costed == []
 
 
 def test_set_stats_budget_bounds_the_subsets_visited(monkeypatch):
-    calls = []
-    counted = lcs._length_cost
-    monkeypatch.setattr(lcs, "_length_cost",
-                        lambda words: calls.append(1) or counted(words))
-    # each letter fills two of the words, so a 10-subset shares no letter
-    # and its chain has no match point; the C(20, 10) = 184756 subsets
-    # once cost nothing and were all walked
-    words = [Word((i // 2 + 1,) * 10, 10) for i in range(20)]
-    with pytest.raises(BudgetError, match="needs 101 cells"):
-        set_lcs_stats(words, 10, budget_cells=100)
-    assert len(calls) == 101
+    costed = spy(monkeypatch, "_length_cost")
+    # each letter fills two of the words, so a 6-subset shares no letter
+    # and its chain has no match point; each of the C(12, 6) = 924 subsets
+    # is still charged the floor
+    words = [Word((i // 2 + 1,) * 10, 6) for i in range(12)]
+    with pytest.raises(BudgetError, match=f"needs {924 * _SUBSET_CELLS} "):
+        set_lcs_stats(words, 6, budget_cells=924 * _SUBSET_CELLS - 1)
+    assert costed == []
+    stats = set_lcs_stats(words, 6, budget_cells=924 * _SUBSET_CELLS)
+    assert (stats.value, len(costed)) == (0, 924)
+
+
+# one to four indices into a list of up to five words over k = 1..3
+subset_cases = st.integers(1, 3).flatmap(
+    lambda k: st.lists(
+        st.lists(st.integers(1, k), max_size=6).map(
+            lambda ls: Word(tuple(ls), k)),
+        min_size=1, max_size=5)).flatmap(
+    lambda ws: st.tuples(st.just(ws), st.lists(
+        st.lists(st.integers(0, len(ws) - 1), min_size=1, max_size=4),
+        max_size=6)))
+
+
+@given(subset_cases)
+def test_subset_lengths_equal_each_subset_alone(case):
+    words, subsets = case
+    got = subset_lengths(words, subsets, budget_cells=10**8)
+    alone = [[words[i] for i in subset] for subset in subsets]
+    assert got == [lcs_multi(ws, witness=False).length for ws in alone]
+    assert got == [brute_lcs_multi([w.letters for w in ws]) for ws in alone]
+    assert all(value == lcs_len(*ws) for value, ws in zip(got, alone)
+               if len(ws) == 2)
+
+
+def test_subset_lengths_list_each_word_once(monkeypatch):
+    listed = spy(monkeypatch, "_positions")
+    words = [sample_word(3, 12, 0, index=i) for i in range(5)]
+    subsets = [(0, 1, 2), (1, 2, 3), (0, 1), (4,), (0, 2, 3, 1), (2, 3, 0)]
+    got = subset_lengths(words, subsets, budget_cells=10**8)
+    # words 0-3 are in subsets of three or more, each listed once in the
+    # order first met; pairs and single indices list none
+    assert [args[0] for args in listed] == words[:4]
+    assert got == [brute_lcs_multi([words[i].letters for i in subset])
+                   for subset in subsets]
 
 
 def test_multi_witness():
